@@ -58,13 +58,13 @@ race:
 smoke:
 	$(GO) run ./cmd/sddstables -scale 0.05 -apps sar,madbench2 -progress=false
 
-# Tracing end to end: a small traced run through sddsim, then tracecheck
+# Tracing end to end: a small traced run through sddsim, then sddsdiag
 # validates the emitted bytes against the trace-event shape.
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/sddsim -app madbench2 -policy history -scheduling \
 		-scale 0.05 -procs 8 -trace "$$tmp/trace.json" >/dev/null && \
-	$(GO) run ./cmd/tracecheck "$$tmp/trace.json"
+	$(GO) run ./cmd/sddsdiag "$$tmp/trace.json"
 
 # Fault injection end to end: a short injected sweep writes a crash-safe
 # journal, then a -resume rerun reloads every completed run and simulates
@@ -121,7 +121,7 @@ BENCH_CMD = { $(GO) test -bench . -benchmem -run '^$$' ./internal/sim && \
 	    -benchmem -benchtime 1x -run '^$$' . ; }
 
 bench:
-	$(BENCH_CMD) | $(GO) run ./cmd/benchjson > BENCH_sim.json
+	$(BENCH_CMD) | $(GO) run ./cmd/benchcheck -write -baseline BENCH_sim.json
 	@cat BENCH_sim.json
 
 # Regression gate: re-run the recorded benchmarks and compare against the

@@ -42,14 +42,16 @@ func pct(s string) float64 {
 	return f
 }
 
-func runExperiment(b *testing.B, id string, report func(*testing.B, *harness.Result)) {
+// runExperiment regenerates one experiment b.N times, each on a fresh
+// session, so every iteration simulates its whole run plan.
+func runExperiment(b *testing.B, id string, cfg harness.Config, report func(*testing.B, *harness.Result)) {
 	b.Helper()
 	exp, err := harness.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(benchConfig())
+		res, err := harness.NewSession(harness.SessionOptions{}).Run(context.Background(), exp, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,10 +61,17 @@ func runExperiment(b *testing.B, id string, report func(*testing.B, *harness.Res
 	}
 }
 
+// sarConfig narrows the bench config to one app for the sweep benchmarks.
+func sarConfig() harness.Config {
+	cfg := benchConfig()
+	cfg.Apps = []string{"sar"}
+	return cfg
+}
+
 // BenchmarkTable3 regenerates the per-application baseline (execution time
 // and disk energy under the Default Scheme).
 func BenchmarkTable3(b *testing.B) {
-	runExperiment(b, "table3", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "table3", benchConfig(), func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			if v, err := strconv.ParseFloat(row[3], 64); err == nil {
 				b.ReportMetric(v, row[0]+"_J")
@@ -74,7 +83,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkFig12a regenerates the idle-period CDF without the scheme and
 // reports the fraction of gaps at most 100 ms (paper average: 86.4%).
 func BenchmarkFig12a(b *testing.B) {
-	runExperiment(b, "fig12a", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12a", benchConfig(), func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			if row[0] == "100" {
 				b.ReportMetric(pct(row[1]), "pct_le100ms_"+res.Headers[1])
@@ -86,7 +95,7 @@ func BenchmarkFig12a(b *testing.B) {
 // BenchmarkFig12b regenerates the idle-period CDF with the scheme (the CDF
 // must shift right relative to Fig. 12(a)).
 func BenchmarkFig12b(b *testing.B) {
-	runExperiment(b, "fig12b", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12b", benchConfig(), func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			if row[0] == "100" {
 				b.ReportMetric(pct(row[1]), "pct_le100ms_"+res.Headers[1])
@@ -99,7 +108,7 @@ func BenchmarkFig12b(b *testing.B) {
 // scheme (paper averages: simple 95.3%, prediction 93.7%, history 84.4%,
 // staggered 90.2%).
 func BenchmarkFig12c(b *testing.B) {
-	runExperiment(b, "fig12c", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12c", benchConfig(), func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			for ci := 1; ci < len(row); ci++ {
 				b.ReportMetric(pct(row[ci]), row[0]+"_"+res.Headers[ci])
@@ -111,7 +120,7 @@ func BenchmarkFig12c(b *testing.B) {
 // BenchmarkFig12d regenerates normalized energy per policy with the scheme
 // (savings should roughly double Fig. 12(c)'s).
 func BenchmarkFig12d(b *testing.B) {
-	runExperiment(b, "fig12d", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12d", benchConfig(), func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			for ci := 1; ci < len(row); ci++ {
 				b.ReportMetric(pct(row[ci]), row[0]+"_"+res.Headers[ci])
@@ -121,89 +130,35 @@ func BenchmarkFig12d(b *testing.B) {
 }
 
 // BenchmarkFig13a regenerates performance degradation without the scheme.
-func BenchmarkFig13a(b *testing.B) { runExperiment(b, "fig13a", nil) }
+func BenchmarkFig13a(b *testing.B) { runExperiment(b, "fig13a", benchConfig(), nil) }
 
 // BenchmarkFig13b regenerates performance degradation with the scheme.
-func BenchmarkFig13b(b *testing.B) { runExperiment(b, "fig13b", nil) }
+func BenchmarkFig13b(b *testing.B) { runExperiment(b, "fig13b", benchConfig(), nil) }
 
 // BenchmarkFig13c regenerates the I/O-node-count sweep.
-func BenchmarkFig13c(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig13c")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig13c(b *testing.B) { runExperiment(b, "fig13c", sarConfig(), nil) }
 
 // BenchmarkFig13d regenerates the δ sweep (interior maximum around δ=20).
-func BenchmarkFig13d(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig13d")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig13d(b *testing.B) { runExperiment(b, "fig13d", sarConfig(), nil) }
 
 // BenchmarkFig14a regenerates the θ energy sweep (savings grow with θ).
-func BenchmarkFig14a(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig14a")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig14a(b *testing.B) { runExperiment(b, "fig14a", sarConfig(), nil) }
 
 // BenchmarkFig14b regenerates the θ performance sweep.
-func BenchmarkFig14b(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig14b")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig14b(b *testing.B) { runExperiment(b, "fig14b", sarConfig(), nil) }
 
 // BenchmarkCacheSens regenerates the §V-D storage-cache sensitivity.
-func BenchmarkCacheSens(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("cachesens")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkCacheSens(b *testing.B) { runExperiment(b, "cachesens", sarConfig(), nil) }
 
 // BenchmarkCompileTime measures the scheduling pass itself (the paper
 // reports ~1.4 s worst case on Phoenix).
 func BenchmarkCompileTime(b *testing.B) {
-	runExperiment(b, "compile", nil)
+	runExperiment(b, "compile", benchConfig(), nil)
 }
 
 // BenchmarkAblations runs the scheduler design ablations (ordering, σ
 // weights, vertical reuse range).
-func BenchmarkAblations(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("ablations")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations", sarConfig(), nil) }
 
 // sessionBenchIDs is the sddstables-equivalent batch the worker-scaling
 // benchmarks regenerate: the four policy figures, 18 distinct cluster

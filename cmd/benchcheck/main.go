@@ -1,10 +1,20 @@
-// Command benchcheck compares a fresh `go test -bench` stream on stdin
-// against the committed baseline (BENCH_sim.json, written by benchjson)
-// and fails on regressions:
+// Command benchcheck records and gates the committed benchmark baseline
+// (BENCH_sim.json). It reads a `go test -bench` stream on stdin and either
+// compares it against the baseline, failing on regressions:
 //
 //	go test -bench . -benchmem ./internal/sim | benchcheck -baseline BENCH_sim.json
 //
-// Rules:
+// or, with -write, records it as the new baseline instead:
+//
+//	go test -bench . -benchmem ./internal/sim | benchcheck -write -baseline BENCH_sim.json
+//
+// The recorded file maps benchmark name to its measured values, e.g.
+// {"BenchmarkX": {"iterations": N, "ns/op": 12.3, ...}}; custom metrics
+// reported via b.ReportMetric (virtual_J, virtual_s, ...) pass through
+// under their unit name. Non-benchmark lines are ignored, so the full
+// `go test` stream can be piped in unfiltered.
+//
+// Comparison rules:
 //   - Every benchmark in the baseline must appear on stdin (a silently
 //     dropped benchmark would hide its regression forever).
 //   - ns/op may grow by at most -tol (default 0.25, i.e. +25%) over the
@@ -32,26 +42,47 @@ const allocTol = 0.02
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "BENCH_sim.json", "committed benchmark baseline (benchjson output)")
+		baselinePath = flag.String("baseline", "BENCH_sim.json", "committed benchmark baseline")
 		tol          = flag.Float64("tol", 0.25, "allowed fractional ns/op growth over the baseline")
+		write        = flag.Bool("write", false, "record stdin as the new baseline instead of comparing against it")
 	)
 	flag.Parse()
-	data, err := os.ReadFile(*baselinePath)
-	if err != nil {
+	if err := run(*baselinePath, *tol, *write); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(1)
 	}
-	baseline, err := benchfmt.UnmarshalBaseline(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", *baselinePath, err)
-		os.Exit(1)
+}
+
+func run(baselinePath string, tol float64, write bool) error {
+	var baseline benchfmt.Results
+	if !write {
+		data, err := os.ReadFile(baselinePath)
+		if err != nil {
+			return err
+		}
+		if baseline, err = benchfmt.UnmarshalBaseline(data); err != nil {
+			return fmt.Errorf("%s: %v", baselinePath, err)
+		}
 	}
 	current, err := benchfmt.Parse(os.Stdin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(1)
+		return err
 	}
-	failures, notes := compare(baseline, current, *tol)
+	if write {
+		if len(current) == 0 {
+			return fmt.Errorf("no benchmark lines on stdin")
+		}
+		out, err := benchfmt.MarshalSorted(current)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(baselinePath, out, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("benchcheck: recorded %d benchmarks in %s\n", len(current), baselinePath)
+		return nil
+	}
+	failures, notes := compare(baseline, current, tol)
 	for _, n := range notes {
 		fmt.Println("note:", n)
 	}
@@ -59,10 +90,10 @@ func main() {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "FAIL:", f)
 		}
-		fmt.Fprintf(os.Stderr, "benchcheck: %d regression(s) vs %s\n", len(failures), *baselinePath)
-		os.Exit(1)
+		return fmt.Errorf("%d regression(s) vs %s", len(failures), baselinePath)
 	}
-	fmt.Printf("benchcheck: %d benchmarks within tolerance of %s\n", len(baseline), *baselinePath)
+	fmt.Printf("benchcheck: %d benchmarks within tolerance of %s\n", len(baseline), baselinePath)
+	return nil
 }
 
 // compare applies the regression rules, returning failures and

@@ -4,11 +4,18 @@
 // the embedded Chrome trace with the shared probe validator, confirms the
 // captured request is strictly replayable, and prints a triage summary.
 //
+// An argument that is a regular file but not a bundle archive (.tar.gz) is
+// a Chrome trace-event file — the output of `sddsim -trace` or `sddstables
+// -trace` — and is checked on its own with the same validator, so the
+// bytes a user would load into chrome://tracing are verified too.
+//
 //	sddsdiag bundle-3f2a9c81d4e0           # triage one bundle (dir or .tar.gz)
 //	sddsdiag -dir capture/                 # list a capture directory
 //	sddsdiag -dir capture/ 3f2a           # resolve an ID prefix, then triage
+//	sddsdiag trace.json                    # validate a Chrome trace
 //
-// Exit status is non-zero when any inspected bundle fails validation.
+// Exit status is non-zero when any inspected bundle or trace fails
+// validation.
 package main
 
 import (
@@ -43,7 +50,7 @@ func run(args []string) error {
 		return list(*dir)
 	}
 	if len(targets) == 0 {
-		return fmt.Errorf("usage: sddsdiag [-dir capture-dir] bundle-path-or-id ...")
+		return fmt.Errorf("usage: sddsdiag [-dir capture-dir] (bundle-path | bundle-id | trace.json) ...")
 	}
 	bad := 0
 	for i, t := range targets {
@@ -54,7 +61,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		ok, err := triage(path)
+		check := triage
+		if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() && !strings.HasSuffix(path, ".tar.gz") {
+			check = checkTraceFile
+		}
+		ok, err := check(path)
 		if err != nil {
 			return err
 		}
@@ -63,7 +74,7 @@ func run(args []string) error {
 		}
 	}
 	if bad > 0 {
-		return fmt.Errorf("%d of %d bundles failed validation", bad, len(targets))
+		return fmt.Errorf("%d of %d inputs failed validation", bad, len(targets))
 	}
 	return nil
 }
@@ -186,6 +197,27 @@ func checkTrace(rep *diag.Report) []string {
 		out = append(out, "trace.json: "+p)
 	}
 	return out
+}
+
+// checkTraceFile validates a standalone Chrome trace-event file, printing
+// one line per problem. ok reports whether the trace passed; err covers
+// unreadable files and input that is not a trace-event object at all.
+func checkTraceFile(path string) (ok bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false, err
+	}
+	problems, stats, err := probe.CheckChromeTrace(data)
+	if err != nil {
+		return false, fmt.Errorf("%s: %w", path, err)
+	}
+	for _, p := range problems {
+		fmt.Printf("%s: %s\n", path, p)
+	}
+	if len(problems) == 0 {
+		fmt.Printf("%s: ok (%s)\n", path, stats)
+	}
+	return len(problems) == 0, nil
 }
 
 // checkRequest confirms request.json strictly decodes into the canonical

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -78,5 +79,38 @@ func TestUnknownBundle(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-dir", dir, "beef"}); err == nil {
 		t.Fatal("unknown ID accepted")
+	}
+}
+
+// TestTraceFileEndToEnd drives the standalone-trace path: a regular file
+// that is not a bundle archive is validated as a Chrome trace.
+func TestTraceFileEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	p := probe.NewSpanProbe()
+	p.StartSpan(probe.TrackRun, "run").End()
+	var buf bytes.Buffer
+	if err := probe.WriteChromeTrace(&buf, p, probe.ChromeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "good.json")
+	if err := os.WriteFile(good, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{good}); err != nil {
+		t.Fatalf("run(good) = %v", err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"traceEvents":[{"name":"x","ph":"Z","pid":0,"tid":0}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{bad}); err == nil || !strings.Contains(err.Error(), "failed validation") {
+		t.Fatalf("run(bad) = %v, want a validation failure", err)
+	}
+	notTrace := filepath.Join(dir, "list.json")
+	if err := os.WriteFile(notTrace, []byte(`[]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{notTrace}); err == nil {
+		t.Fatal("run accepted a file that is not a trace")
 	}
 }

@@ -110,10 +110,10 @@ func runCtx(ctx context.Context, args []string) error {
 		},
 	}
 	fmt.Fprintf(os.Stderr, "sddsworker: %s leasing from %s\n", *name, *coordinator)
-	start := time.Now() //sddsvet:ignore simdet -- wall-clock worker lifetime, not simulated time
+	start := time.Now() //sddsvet:ignore detflow -- wall-clock worker lifetime, not simulated time
 	err = w.Run(ctx)
 	simulated, hits := sess.Stats()
 	fmt.Fprintf(os.Stderr, "sddsworker: %s exiting after %s (%d simulated, %d cache hits)\n",
-		*name, time.Since(start).Round(time.Millisecond), simulated, hits) //sddsvet:ignore simdet -- wall-clock worker lifetime
+		*name, time.Since(start).Round(time.Millisecond), simulated, hits) //sddsvet:ignore detflow -- wall-clock worker lifetime
 	return err
 }

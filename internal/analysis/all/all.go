@@ -6,19 +6,15 @@ import (
 	"sdds/internal/analysis"
 	"sdds/internal/analysis/detflow"
 	"sdds/internal/analysis/eventretain"
-	"sdds/internal/analysis/floatorder"
 	"sdds/internal/analysis/hotalloc"
 	"sdds/internal/analysis/locksafe"
-	"sdds/internal/analysis/simdet"
 )
 
 // Analyzers is the full suite in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	simdet.Analyzer,
 	detflow.Analyzer,
 	hotalloc.Analyzer,
 	eventretain.Analyzer,
-	floatorder.Analyzer,
 	locksafe.Analyzer,
 }
 

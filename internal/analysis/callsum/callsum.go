@@ -3,7 +3,7 @@
 // order-sensitive map iteration, *sim.Event retention) and which locking
 // behaviour (locks acquired, may-block, may-block-while-holding) a function
 // has, directly or through any chain of calls. The per-function syntactic
-// analyzers of PR 3 see one body at a time; the summaries let them follow a
+// checks see one body at a time; the summaries let them follow a
 // violation through helpers and across package boundaries and report the
 // full call chain ("hotpath disk.transfer → ionode.flushBatch →
 // fmt.Sprintf allocates").
@@ -59,7 +59,9 @@ const (
 	WallClock
 	// GlobalRand: draws from the globally-seeded math/rand source.
 	GlobalRand
-	// MapOrder: ranges over a map mutating order-sensitive outer state.
+	// MapOrder: lets map-iteration or goroutine-scheduling order decide an
+	// outcome — a call or an order-sensitive store inside a map range, or a
+	// float accumulation into shared state from a `go` body.
 	MapOrder
 	// RetainEvent: stores a non-retained *sim.Event past its handler scope.
 	RetainEvent
@@ -82,15 +84,15 @@ func (k EffectKind) String() string {
 	return kindNames[k]
 }
 
-// suppressors maps each effect to the analyzer names whose //sddsvet:ignore
+// suppressors maps each effect to the analyzer whose //sddsvet:ignore
 // directives justify it at the intrinsic site: an ignored site is dropped
 // from the summary so the effect never taints transitive callers.
-var suppressors = [numEffects][]string{
-	Alloc:       {"hotalloc"},
-	WallClock:   {"simdet", "detflow"},
-	GlobalRand:  {"simdet", "detflow"},
-	MapOrder:    {"simdet", "detflow"},
-	RetainEvent: {"eventretain"},
+var suppressors = [numEffects]string{
+	Alloc:       "hotalloc",
+	WallClock:   "detflow",
+	GlobalRand:  "detflow",
+	MapOrder:    "detflow",
+	RetainEvent: "eventretain",
 }
 
 // Cause records why a summary has an effect: either an intrinsic operation

@@ -67,3 +67,29 @@ func TestRecursionFixpoint(t *testing.T) {
 		t.Errorf("chain length %d blew past the recursion cap", len(chain))
 	}
 }
+
+// TestCompositeLiteralFieldsWalked proves effects inside &T{...} field
+// values reach the enclosing function's summary — through a helper call
+// and directly — while the literal still counts as its one allocation.
+func TestCompositeLiteralFieldsWalked(t *testing.T) {
+	mod, err := analysis.LoadModule("../../..", "internal/analysis/callsum/testdata/src/literal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := mod.Selected[0]
+	sums := callsum.Of(mod)
+	for _, name := range []string{"build", "direct"} {
+		fn := sums.LookupFunc(pkg.PkgPath, "", name)
+		if fn == nil {
+			t.Fatalf("LookupFunc(%q) = nil", name)
+		}
+		sum := sums.ForFunc(fn)
+		chain := sums.EffectChain(fn, callsum.WallClock)
+		if sum.Effect(callsum.WallClock) == nil || len(chain) == 0 || chain[len(chain)-1].Note != "time.Now" {
+			t.Errorf("%s: wall-clock read inside the literal not summarized (chain %q)", name, callsum.Render(chain))
+		}
+		if c := sum.Effect(callsum.Alloc); c == nil || c.Detail != "&composite literal allocates" {
+			t.Errorf("%s: alloc cause = %+v, want the &composite literal itself", name, c)
+		}
+	}
+}

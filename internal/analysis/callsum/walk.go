@@ -13,10 +13,10 @@ import (
 // bookkeeping is exempt. A var so fixture tests can rebind it.
 var SimPackage = "sdds/internal/sim"
 
-// GlobalRandFuncs are the package-level math/rand (and v2) functions
+// globalRandFuncs are the package-level math/rand (and v2) functions
 // drawing from the globally-seeded source. Deterministic constructors
-// (New, NewSource, NewZipf) stay allowed. Shared with simdet.
-var GlobalRandFuncs = map[string]bool{
+// (New, NewSource, NewZipf) stay allowed.
+var globalRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
 	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
@@ -97,9 +97,12 @@ func (w *walker) walk(n ast.Node) {
 			case token.ARROW:
 				w.blocker(n.Pos(), "channel receive")
 			case token.AND:
-				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
+				if lit, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
 					w.intrinsic(Alloc, n.Pos(), "&composite literal allocates")
-					return false // don't double-count the literal itself
+					for _, elt := range lit.Elts {
+						w.walk(elt) // field values run: time.Now(), helper calls
+					}
+					return false // the literal itself is the one allocation above
 				}
 			}
 		case *ast.RangeStmt:
@@ -141,6 +144,7 @@ func (w *walker) goStmt(n *ast.GoStmt) {
 		if analysis.Captures(w.pkg.Info, lit) {
 			w.intrinsic(Alloc, lit.Pos(), "capturing closure allocates")
 		}
+		w.goAccumulate(lit)
 		w.walk(lit.Body)
 	} else {
 		w.call(n.Call)
@@ -184,7 +188,7 @@ func (w *walker) selectStmt(n *ast.SelectStmt) {
 // justifies it (the check runs even when the effect is already set, so
 // every suppressing directive is marked used for the stale audit).
 func (w *walker) intrinsic(k EffectKind, pos token.Pos, detail string) {
-	if w.ign.SuppressedAny(suppressors[k], pos) {
+	if w.ign.Suppressed(suppressors[k], pos) {
 		return
 	}
 	if w.f.sum.effects[k] != nil {
@@ -199,7 +203,7 @@ func (w *walker) blocker(pos token.Pos, detail string) {
 	if w.noBlock > 0 {
 		return
 	}
-	if w.ign.SuppressedAny([]string{"locksafe"}, pos) {
+	if w.ign.Suppressed("locksafe", pos) {
 		return
 	}
 	sum := w.f.sum
@@ -266,7 +270,7 @@ func (w *walker) syncCall(call *ast.CallExpr, fn *types.Func) bool {
 		id := w.lockID(call)
 		switch fn.Name() {
 		case "Lock", "RLock":
-			if id != "" && !w.ign.SuppressedAny([]string{"locksafe"}, call.Pos()) {
+			if id != "" && !w.ign.Suppressed("locksafe", call.Pos()) {
 				if w.f.sum.Locks[id] == nil {
 					w.f.sum.setLock(id, &Cause{Pos: call.Pos(), Detail: "acquires " + id})
 				}
@@ -350,7 +354,7 @@ func (w *walker) external(call *ast.CallExpr, fn *types.Func) {
 			w.blocker(call.Pos(), "time.Sleep")
 		}
 	case "math/rand", "math/rand/v2":
-		if GlobalRandFuncs[name] {
+		if globalRandFuncs[name] {
 			w.intrinsic(GlobalRand, call.Pos(), "global math/rand."+name)
 		}
 	case "fmt":
@@ -376,10 +380,10 @@ func (w *walker) external(call *ast.CallExpr, fn *types.Func) {
 	}
 }
 
-// mapOrder scans a map-range body for order-sensitive mutation of outer
-// state — the conservative subset (appends, last-writer-wins stores, float
-// accumulation) shared with simdet's direct check; bare calls inside map
-// ranges stay a simdet-only, sim-package-only rule.
+// mapOrder scans a map-range body for what iteration order can decide: a
+// call (it may schedule events or mutate state in visit order), an append
+// to an outer slice nobody sorts afterwards, a last-writer-wins store, or a
+// float accumulation into outer state.
 func (w *walker) mapOrder(rng *ast.RangeStmt) {
 	info := w.pkg.Info
 	keyIdent, _ := rng.Key.(*ast.Ident)
@@ -388,10 +392,14 @@ func (w *walker) mapOrder(rng *ast.RangeStmt) {
 		case *ast.FuncLit:
 			return false // deferred work: not executed in iteration order here
 		case *ast.CallExpr:
-			if IsAppendCall(info, n) && len(n.Args) > 0 {
+			if fn := analysis.CalleeFunc(info, n); fn != nil {
+				w.intrinsic(MapOrder, n.Pos(), "call to "+fn.Name()+" inside map iteration")
+				return false
+			}
+			if isAppendCall(info, n) && len(n.Args) > 0 {
 				if root := analysis.RootIdent(n.Args[0]); root != nil &&
 					analysis.DeclaredOutside(info, root, rng.Pos(), rng.End()) &&
-					!SortedAfter(info, w.fd, rng, root) {
+					!sortedAfter(info, w.fd, rng, root) {
 					w.intrinsic(MapOrder, n.Pos(), "append to "+root.Name+" in map-iteration order")
 				}
 			}
@@ -401,19 +409,40 @@ func (w *walker) mapOrder(rng *ast.RangeStmt) {
 			}
 			commutative := n.Tok != token.ASSIGN
 			for i, lhs := range n.Lhs {
-				if i < len(n.Rhs) && IsAppendCall(info, n.Rhs[i]) {
+				if i < len(n.Rhs) && isAppendCall(info, n.Rhs[i]) {
 					continue // owned by the append arm
 				}
-				if ConstantStore(info, n, i) {
+				if constantStore(info, n, i) {
 					continue // same value every iteration: order-free
 				}
-				if OrderSensitiveStore(info, rng, keyIdent, lhs, commutative) {
-					w.intrinsic(MapOrder, n.Pos(), "order-sensitive store in map iteration")
+				if orderSensitiveStore(info, rng, keyIdent, lhs, commutative) {
+					what := "last-writer-wins store to outer state in map-iteration order"
+					if commutative {
+						what = "float accumulation into outer state in map-iteration order"
+					}
+					w.intrinsic(MapOrder, n.Pos(), what)
 				}
 			}
 		case *ast.IncDecStmt:
-			if OrderSensitiveStore(info, rng, keyIdent, n.X, true) {
+			if orderSensitiveStore(info, rng, keyIdent, n.X, true) {
 				w.intrinsic(MapOrder, n.Pos(), "float update in map-iteration order")
+			}
+		}
+		return true
+	})
+}
+
+// goAccumulate records float compound assignments from a `go` body into
+// state declared outside it: the reduction order follows the scheduler.
+func (w *walker) goAccumulate(lit *ast.FuncLit) {
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok == token.ASSIGN || as.Tok == token.DEFINE {
+			return true
+		}
+		for _, lhs := range as.Lhs {
+			if orderSensitiveStore(w.pkg.Info, lit, nil, lhs, true) {
+				w.intrinsic(MapOrder, as.Pos(), "float accumulation into shared state from a goroutine")
 			}
 		}
 		return true
@@ -484,10 +513,10 @@ func (w *walker) retainSource(rhs ast.Expr) string {
 }
 
 // ---------------------------------------------------------------------------
-// Shared order-sensitivity helpers (used by simdet's direct check too).
+// Order-sensitivity helpers.
 
-// IsAppendCall reports whether e is a call to the builtin append.
-func IsAppendCall(info *types.Info, e ast.Expr) bool {
+// isAppendCall reports whether e is a call to the builtin append.
+func isAppendCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || analysis.CalleeFunc(info, call) != nil {
 		return false
@@ -496,14 +525,13 @@ func IsAppendCall(info *types.Info, e ast.Expr) bool {
 	return ok && id.Name == "append"
 }
 
-// SortedAfter reports whether the slice rooted at root is passed to a
+// sortedAfter reports whether the slice rooted at root is passed to a
 // sort.* or slices.Sort* call after the map range ends: the
 // collect-then-sort idiom fixes the order before anyone can observe it.
-// scope is any node enclosing both the range and the sort call (the
-// function body or the whole file) — object identity on root confines the
-// match to the right function. The comparator is assumed total; sorting on
+// scope is the enclosing function declaration; object identity on root
+// confines the match to the right variable. The comparator is assumed total; sorting on
 // a non-unique key would still leave ties in random relative order.
-func SortedAfter(info *types.Info, scope ast.Node, rng *ast.RangeStmt, root *ast.Ident) bool {
+func sortedAfter(info *types.Info, scope ast.Node, rng *ast.RangeStmt, root *ast.Ident) bool {
 	obj := analysis.ObjOf(info, root)
 	if obj == nil || scope == nil {
 		return false
@@ -532,10 +560,10 @@ func SortedAfter(info *types.Info, scope ast.Node, rng *ast.RangeStmt, root *ast
 	return sorted
 }
 
-// ConstantStore reports whether as's i-th assignment stores a constant with
+// constantStore reports whether as's i-th assignment stores a constant with
 // plain `=`: every iteration writes the same value, so iteration order
 // cannot be observed through it.
-func ConstantStore(info *types.Info, as *ast.AssignStmt, i int) bool {
+func constantStore(info *types.Info, as *ast.AssignStmt, i int) bool {
 	if as.Tok != token.ASSIGN || i >= len(as.Rhs) {
 		return false
 	}
@@ -543,17 +571,17 @@ func ConstantStore(info *types.Info, as *ast.AssignStmt, i int) bool {
 	return ok && tv.Value != nil
 }
 
-// OrderSensitiveStore decides whether storing through lhs inside the map
-// range can observe iteration order. commutativeOp marks += style updates,
+// orderSensitiveStore decides whether storing through lhs inside scope (a
+// map range, or a `go` body) can observe iteration or scheduling order. commutativeOp marks += style updates,
 // which are exact (and therefore allowed) on integers but not on floats.
 // Per-key stores into an outer map indexed by the loop key touch each slot
 // exactly once and are order-free for both forms.
-func OrderSensitiveStore(info *types.Info, rng *ast.RangeStmt, keyIdent *ast.Ident, lhs ast.Expr, commutativeOp bool) bool {
+func orderSensitiveStore(info *types.Info, scope ast.Node, keyIdent *ast.Ident, lhs ast.Expr, commutativeOp bool) bool {
 	root := analysis.RootIdent(lhs)
 	if root == nil || root.Name == "_" {
 		return false
 	}
-	if !analysis.DeclaredOutside(info, root, rng.Pos(), rng.End()) {
+	if !analysis.DeclaredOutside(info, root, scope.Pos(), scope.End()) {
 		return false
 	}
 	if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && keyIdent != nil {

@@ -1,4 +1,4 @@
-// Package faultbad is the simdet fixture for the fault-injection layer:
+// Package faultbad is the detflow fixture for the fault-injection layer:
 // an injector that decides hits from the globally-seeded RNG or the wall
 // clock would silently break run reproducibility, so both are flagged.
 // The splitmix-style counter stream the real injector uses is allowed.
@@ -16,15 +16,15 @@ type injector struct {
 }
 
 func (in *injector) hitFromGlobalRand(site int) bool {
-	return rand.Uint64() < in.threshold[site] // want `global math/rand\.Uint64 is randomly seeded`
+	return rand.Uint64() < in.threshold[site] // want `global math/rand\.Uint64 \(global-rand\)`
 }
 
 func (in *injector) hitFromWallClock(site int) bool {
-	return time.Now().UnixNano()&1 == 0 // want `time\.Now in a simulation package`
+	return time.Now().UnixNano()&1 == 0 // want `time\.Now \(wall-clock\)`
 }
 
 func (in *injector) hitFromFloat(site int) bool {
-	return rand.Float64() < 0.01 // want `global math/rand\.Float64 is randomly seeded`
+	return rand.Float64() < 0.01 // want `global math/rand\.Float64 \(global-rand\)`
 }
 
 // hit is the real injector's shape: a per-site splitmix64 counter stream,

@@ -1,7 +1,9 @@
-// Package floatorderbad is the floatorder analyzer fixture: map-ordered and
-// goroutine-ordered float reductions are flagged; per-key slots, integer
-// counters, slice reductions, and ignored lines are not.
-package floatorderbad
+// Package floatbad is the detflow fixture for float reductions: floating
+// point addition is not associative, so a reduction ordered by map
+// iteration or goroutine interleaving drifts in the last bits between runs.
+// Map-ordered and goroutine-ordered float reductions are flagged; per-key
+// slots, integer counters, slice reductions, and ignored lines are not.
+package floatbad
 
 type stats struct {
 	total float64
@@ -10,14 +12,14 @@ type stats struct {
 func mapReduce(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		sum += v // want `float accumulation ordered by map iteration`
+		sum += v // want `float accumulation into outer state in map-iteration order`
 	}
 	return sum
 }
 
 func fieldReduce(s *stats, m map[string]float64) {
 	for _, v := range m {
-		s.total += v // want `float accumulation ordered by map iteration`
+		s.total += v // want `float accumulation into outer state in map-iteration order`
 	}
 }
 
@@ -50,7 +52,7 @@ func goReduce(xs []float64) float64 {
 	for _, x := range xs {
 		x := x
 		go func() {
-			total += x // want `float accumulation into shared state from a goroutine`
+			total += x // want `float accumulation into shared state from a goroutine \(map-order\)`
 		}()
 	}
 	return total
@@ -59,7 +61,7 @@ func goReduce(xs []float64) float64 {
 func ignoredReduce(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		sum += v //sddsvet:ignore floatorder -- fixture: consumer tolerates last-bit drift
+		sum += v //sddsvet:ignore detflow -- fixture: consumer tolerates last-bit drift
 	}
 	return sum
 }

@@ -1,4 +1,4 @@
-// Package restorebad is the simdet fixture for artifact-restore-shaped
+// Package restorebad is the detflow fixture for artifact-restore-shaped
 // code. A compile artifact deserialized from disk must rebuild the exact
 // schedule the original compile produced: if the restore path keeps its
 // points in a map and ranges it while appending assignments (or while
@@ -26,7 +26,7 @@ type schedule struct {
 func restoreFromMap(points map[int]point) *schedule {
 	s := &schedule{bySlot: map[int]point{}}
 	for _, pt := range points {
-		s.assigns = append(s.assigns, pt) // want `append to s inside map iteration`
+		s.assigns = append(s.assigns, pt) // want `append to s in map-iteration order`
 	}
 	return s
 }
@@ -35,7 +35,7 @@ func restoreFromMap(points map[int]point) *schedule {
 // is visited last claims the slot.
 func restoreWinners(points map[int]point, winner *point) {
 	for _, pt := range points {
-		*winner = pt // want `assignment to outer state inside map iteration`
+		*winner = pt // want `last-writer-wins store to outer state in map-iteration order`
 	}
 }
 
@@ -43,7 +43,7 @@ func restoreWinners(points map[int]point, winner *point) {
 // total depend on the visit sequence.
 func restoreCost(s *schedule, points map[int]point) {
 	for _, pt := range points {
-		s.total += pt.cost // want `float accumulation into outer state inside map iteration`
+		s.total += pt.cost // want `float accumulation into outer state in map-iteration order`
 	}
 }
 

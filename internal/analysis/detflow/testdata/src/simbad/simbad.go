@@ -1,7 +1,9 @@
-// Package simdetbad is the simdet analyzer fixture: each flagged line
-// carries a want comment; the allowed patterns (seeded RNG, per-key map
-// updates, integer counters) and the ignore path carry none.
-package simdetbad
+// Package simbad is the detflow fixture for simulation-model code: each
+// flagged line carries a want comment and sits in its own function (detflow
+// reports the first cause per function and effect kind); the allowed
+// patterns (seeded RNG, per-key map updates, integer counters) and the
+// ignore path carry none.
+package simbad
 
 import (
 	"math/rand"
@@ -19,11 +21,11 @@ type state struct {
 }
 
 func wallClock() int64 {
-	return time.Now().UnixNano() // want `time\.Now in a simulation package`
+	return time.Now().UnixNano() // want `time\.Now \(wall-clock\) in deterministic package simbad`
 }
 
 func globalRand() int {
-	return rand.Intn(6) // want `global math/rand\.Intn is randomly seeded`
+	return rand.Intn(6) // want `global math/rand\.Intn \(global-rand\)`
 }
 
 func seededRand(r *rand.Rand) int {
@@ -36,19 +38,25 @@ func deterministicSource() *rand.Rand {
 
 func scheduleInMapOrder(e *engine, pending map[int]int64) {
 	for _, d := range pending {
-		e.ScheduleFunc(d, "bad", func() {}) // want `call to ScheduleFunc inside map iteration`
+		e.ScheduleFunc(d, "bad", func() {}) // want `call to ScheduleFunc inside map iteration \(map-order\)`
 	}
 }
 
-func mutateInMapOrder(s *state, m map[int]float64) {
+func accumulateInMapOrder(s *state, m map[int]float64) {
 	for _, v := range m {
-		s.total += v // want `float accumulation into outer state inside map iteration`
+		s.total += v // want `float accumulation into outer state in map-iteration order`
 	}
+}
+
+func storeInMapOrder(s *state, m map[int]float64) {
 	for k := range m {
-		s.last = int64(k) // want `assignment to outer state inside map iteration`
+		s.last = int64(k) // want `last-writer-wins store to outer state in map-iteration order`
 	}
+}
+
+func appendInMapOrder(s *state, m map[int]float64) {
 	for k := range m {
-		s.order = append(s.order, k) // want `append to s inside map iteration`
+		s.order = append(s.order, k) // want `append to s in map-iteration order`
 	}
 }
 
@@ -63,7 +71,7 @@ func commutativeMapUpdates(m map[int]float64) (int, float64) {
 	}
 	var sum float64
 	for _, v := range m {
-		sum += v //sddsvet:ignore simdet -- fixture: order drift documented as acceptable here
+		sum += v //sddsvet:ignore detflow -- fixture: order drift documented as acceptable here
 	}
 	return count, sum
 }

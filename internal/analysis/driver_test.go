@@ -9,9 +9,7 @@ import (
 	"sdds/internal/analysis"
 	"sdds/internal/analysis/all"
 	"sdds/internal/analysis/detflow"
-	"sdds/internal/analysis/floatorder"
 	"sdds/internal/analysis/locksafe"
-	"sdds/internal/analysis/simdet"
 )
 
 // TestMulticheckerOnKnownBad runs the full analyzer suite — exactly as
@@ -20,7 +18,7 @@ import (
 // suppression, and checks the count, the output format, and that every
 // analyzer contributed.
 func TestMulticheckerOnKnownBad(t *testing.T) {
-	defer override(t, regexp.MustCompile(`knownbad$`), regexp.MustCompile(`knownbaddet$`))()
+	defer override(t, regexp.MustCompile(`knownbad(det)?$`))()
 
 	mod, err := analysis.LoadModule("../..",
 		"internal/analysis/testdata/src/knownbad",
@@ -35,12 +33,12 @@ func TestMulticheckerOnKnownBad(t *testing.T) {
 	var buf bytes.Buffer
 	analysis.WriteText(&buf, findings)
 	out := buf.String()
-	// knownbad: stamp (simdet), arm (hotalloc), keep (eventretain), reduce
-	// (simdet and floatorder share the line); the suppressed function
-	// contributes nothing. knownbaddet: stampDet (detflow), badHandler
-	// (locksafe), and the deliberately stale directive (ignoreaudit).
-	if len(findings) != 8 {
-		t.Fatalf("got %d findings, want 8:\n%s", len(findings), out)
+	// knownbad: stamp and reduce (detflow), arm (hotalloc), keep
+	// (eventretain); the suppressed function contributes nothing.
+	// knownbaddet: stampDet (detflow), badHandler (locksafe), and the
+	// deliberately stale directive (ignoreaudit).
+	if len(findings) != 7 {
+		t.Fatalf("got %d findings, want 7:\n%s", len(findings), out)
 	}
 	for _, a := range all.Analyzers {
 		if !strings.Contains(out, ": "+a.Name+": ") {
@@ -51,8 +49,8 @@ func TestMulticheckerOnKnownBad(t *testing.T) {
 		t.Errorf("no finding from the suppression audit in output:\n%s", out)
 	}
 	lineRE := regexp.MustCompile(`(?m)^internal/analysis/testdata/src/knownbad(det)?/knownbad(det)?\.go:\d+:\d+: \w+: .+$`)
-	if got := len(lineRE.FindAllString(out, -1)); got != 8 {
-		t.Errorf("%d lines match the file:line:col: analyzer: message format, want 8:\n%s", got, out)
+	if got := len(lineRE.FindAllString(out, -1)); got != 7 {
+		t.Errorf("%d lines match the file:line:col: analyzer: message format, want 7:\n%s", got, out)
 	}
 	if strings.Contains(out, "suppression") {
 		t.Errorf("suppressed finding leaked into output:\n%s", out)
@@ -115,16 +113,14 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	}
 }
 
-func override(t *testing.T, simRE, detRE *regexp.Regexp) func() {
+func override(t *testing.T, detRE *regexp.Regexp) func() {
 	t.Helper()
-	oldSim, oldGold, oldDet := simdet.SimPackages, floatorder.GoldenPackages, detflow.DetPackages
-	oldRoots := locksafe.CriticalRoots
-	simdet.SimPackages, floatorder.GoldenPackages, detflow.DetPackages = simRE, simRE, detRE
+	oldDet, oldRoots := detflow.DetPackages, locksafe.CriticalRoots
+	detflow.DetPackages = detRE
 	locksafe.CriticalRoots = []locksafe.Root{
 		{PkgPath: "sdds/internal/analysis/testdata/src/knownbaddet", Name: "criticalRoot"},
 	}
 	return func() {
-		simdet.SimPackages, floatorder.GoldenPackages, detflow.DetPackages = oldSim, oldGold, oldDet
-		locksafe.CriticalRoots = oldRoots
+		detflow.DetPackages, locksafe.CriticalRoots = oldDet, oldRoots
 	}
 }

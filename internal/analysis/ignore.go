@@ -8,8 +8,8 @@ import (
 
 // ignorePrefix introduces a suppression comment:
 //
-//	//sddsvet:ignore simdet -- flush order fixed by sorted keys
-//	//sddsvet:ignore hotalloc,simdet -- startup only, once per run
+//	//sddsvet:ignore detflow -- flush order fixed by sorted keys
+//	//sddsvet:ignore hotalloc,detflow -- startup only, once per run
 //
 // The comma-separated analyzer list may also be "all". The "-- reason" tail
 // is the convention (reviewers should see why the pattern is safe); the
@@ -28,7 +28,7 @@ const (
 // Directive is one parsed (analyzer, site) pair from a //sddsvet:ignore or
 // //sddsvet:ignore-file comment. A comment naming several analyzers
 // produces one Directive per name, so staleness is reported per analyzer:
-// in "hotalloc,simdet" the hotalloc half can be stale while the simdet
+// in "hotalloc,detflow" the hotalloc half can be stale while the detflow
 // half still works.
 type Directive struct {
 	// Name is one analyzer name from the directive, or "all".
@@ -135,20 +135,6 @@ func (idx *IgnoreIndex) Suppressed(analyzer string, pos token.Pos) bool {
 	for _, d := range idx.byFile[p.Filename] {
 		if d.Name == analyzer || d.Name == "all" {
 			d.used = true
-			hit = true
-		}
-	}
-	return hit
-}
-
-// SuppressedAny reports (and marks) suppression for any of the analyzer
-// names. The summary engine uses it where one effect feeds several
-// analyzers: a justified wall-clock site is justified for simdet and
-// detflow alike.
-func (idx *IgnoreIndex) SuppressedAny(analyzers []string, pos token.Pos) bool {
-	hit := false
-	for _, a := range analyzers {
-		if idx.Suppressed(a, pos) {
 			hit = true
 		}
 	}

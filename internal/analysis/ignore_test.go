@@ -36,35 +36,35 @@ func TestIgnoreIndexEdgeCases(t *testing.T) {
 	}
 	// Stacked: both the above-line and the trailing directive cover stamp's
 	// line; one Suppressed call must mark both used.
-	if !idx.Suppressed("simdet", posOf("stamp")) {
-		t.Error("stacked simdet directives did not cover the stamp line")
+	if !idx.Suppressed("detflow", posOf("stamp")) {
+		t.Error("stacked detflow directives did not cover the stamp line")
 	}
 	// Multi-diagnostic line: the comma-list directive answers for both
 	// analyzers.
-	if !idx.Suppressed("simdet", posOf("reduce")) {
-		t.Error("simdet half of the comma-list directive did not cover reduce")
+	if !idx.Suppressed("detflow", posOf("reduce")) {
+		t.Error("detflow half of the comma-list directive did not cover reduce")
 	}
-	if !idx.Suppressed("floatorder", posOf("reduce")) {
-		t.Error("floatorder half of the comma-list directive did not cover reduce")
+	if !idx.Suppressed("locksafe", posOf("reduce")) {
+		t.Error("locksafe half of the comma-list directive did not cover reduce")
 	}
 	// An analyzer nobody named stays unsuppressed.
 	if idx.Suppressed("eventretain", posOf("reduce")) {
 		t.Error("eventretain suppressed without any directive naming it")
 	}
 
-	// Every simdet directive (stacked pair + comma-list half) is now used.
+	// Every detflow directive (stacked pair + comma-list half) is now used.
 	for _, d := range idx.Directives() {
-		if d.Name == "simdet" && !d.Used() {
-			t.Errorf("simdet directive at %s:%d not marked used", d.File, d.Line)
+		if d.Name == "detflow" && !d.Used() {
+			t.Errorf("detflow directive at %s:%d not marked used", d.File, d.Line)
 		}
 	}
-	// Only the deliberately-stale detflow directive is left.
+	// Only the deliberately-stale eventretain directive is left.
 	stale := idx.Stale()
-	if len(stale) != 1 || stale[0].Name != "detflow" {
+	if len(stale) != 1 || stale[0].Name != "eventretain" {
 		names := make([]string, 0, len(stale))
 		for _, d := range stale {
 			names = append(names, d.Name)
 		}
-		t.Errorf("Stale() = %v, want exactly [detflow]", names)
+		t.Errorf("Stale() = %v, want exactly [eventretain]", names)
 	}
 }

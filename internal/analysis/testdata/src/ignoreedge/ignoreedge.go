@@ -7,13 +7,13 @@ package ignoreedge
 
 //sddsvet:ignore-file hotalloc -- file-level: everything here is cold setup
 
-//sddsvet:ignore simdet -- stacked: above-line form
-var stamp = now() //sddsvet:ignore simdet -- stacked: trailing form
+//sddsvet:ignore detflow -- stacked: above-line form
+var stamp = now() //sddsvet:ignore detflow -- stacked: trailing form
 
-//sddsvet:ignore simdet,floatorder -- one comment, two analyzers, same line
+//sddsvet:ignore detflow,locksafe -- one comment, two analyzers, same line
 var reduce = 0.0
 
-//sddsvet:ignore detflow -- deliberately stale: nothing here trips detflow
+//sddsvet:ignore eventretain -- deliberately stale: nothing here trips eventretain
 var answer = 42
 
 func now() int64 { return 1 }

@@ -1,6 +1,7 @@
 // Package knownbad is the multichecker integration fixture: it carries
-// exactly one violation per sddsvet analyzer, plus one suppressed line, so
-// the driver test can assert the full find-filter-format pipeline.
+// violations for the determinism, allocation, and event-retention
+// analyzers, plus one suppressed line, so the driver test can assert the
+// full find-filter-format pipeline.
 package knownbad
 
 import (
@@ -15,7 +16,7 @@ type node struct {
 	count int
 }
 
-// simdet: wall clock in (test-scoped) simulation code.
+// detflow: wall clock in (test-scoped) simulation code.
 func stamp() int64 {
 	return time.Now().UnixNano()
 }
@@ -30,7 +31,7 @@ func (n *node) keep(ev *sim.Event) {
 	n.timer = ev
 }
 
-// floatorder: reduction ordered by map iteration.
+// detflow: reduction ordered by map iteration.
 func reduce(m map[int]float64) float64 {
 	var sum float64
 	for _, v := range m {
@@ -43,7 +44,7 @@ func reduce(m map[int]float64) float64 {
 func suppressed(m map[int]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		sum += v //sddsvet:ignore simdet,floatorder -- fixture: proves end-to-end suppression
+		sum += v //sddsvet:ignore detflow -- fixture: proves end-to-end suppression
 	}
 	return sum
 }

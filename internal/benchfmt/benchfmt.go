@@ -1,9 +1,8 @@
 // Package benchfmt parses `go test -bench` output lines and renders
-// benchmark result sets as deterministic JSON. It is the shared format
-// layer of cmd/benchjson (which records BENCH_sim.json) and
-// cmd/benchcheck (which compares a fresh run against it), so the two
-// tools cannot drift on what a benchmark line or the committed baseline
-// means.
+// benchmark result sets as deterministic JSON. It is the format layer of
+// cmd/benchcheck, which both records BENCH_sim.json (-write) and compares
+// a fresh run against it, so recording and checking cannot drift on what
+// a benchmark line or the committed baseline means.
 package benchfmt
 
 import (

@@ -119,7 +119,7 @@ func (r *Result) Artifact() *Artifact {
 // restored result drives a bit-identical simulation. CompileTime is the
 // wall-clock cost of the restore itself.
 func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
-	start := time.Now() //sddsvet:ignore simdet -- wall-clock restore cost for CompileTime reporting, never feeds simulated results
+	start := time.Now() //sddsvet:ignore detflow -- wall-clock restore cost for CompileTime reporting, never feeds simulated results
 	if a.Version != ArtifactVersion {
 		return nil, fmt.Errorf("compiler: artifact version %d, want %d", a.Version, ArtifactVersion)
 	}
@@ -194,7 +194,7 @@ func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
 		Accesses:     accesses,
 		Schedule:     schedule,
 		UsedProfiler: a.UsedProfiler,
-		CompileTime:  time.Since(start),
+		CompileTime:  time.Since(start), //sddsvet:ignore detflow -- wall-clock restore cost for CompileTime reporting, never feeds simulated results
 		procs:        opts.Procs,
 		params:       params,
 		accessByInst: byInst,

@@ -189,7 +189,7 @@ func Compile(p *loop.Program, opts Options) (*Result, error) {
 // boundaries (before slack analysis and before scheduling — the two
 // dominant costs of the pass).
 func CompileContext(ctx context.Context, p *loop.Program, opts Options) (*Result, error) {
-	start := time.Now() //sddsvet:ignore simdet -- wall-clock compile cost for CompileTime reporting, never feeds simulated results
+	start := time.Now() //sddsvet:ignore detflow -- wall-clock compile cost for CompileTime reporting, never feeds simulated results
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -251,7 +251,7 @@ func CompileContext(ctx context.Context, p *loop.Program, opts Options) (*Result
 		Accesses:     accesses,
 		Schedule:     schedule,
 		UsedProfiler: usedProfiler,
-		CompileTime:  time.Since(start),
+		CompileTime:  time.Since(start), //sddsvet:ignore detflow -- wall-clock compile cost for CompileTime reporting, never feeds simulated results
 		procs:        opts.Procs,
 		params:       params,
 		accessByInst: byInst,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -441,6 +442,22 @@ func TestScheduleTablesSortedPerProcess(t *testing.T) {
 	}
 	if total != 40 {
 		t.Fatalf("tables hold %d entries, want 40", total)
+	}
+}
+
+// TestValidateErrorDeterministic pins the error Validate returns when
+// several accesses sit outside their slack: it names the lowest access ID
+// on every call, never whichever one map iteration visits first.
+func TestValidateErrorDeterministic(t *testing.T) {
+	s := newSchedule(Params{NumSlots: 20, NumNodes: 4}, 2)
+	s.assign(&Access{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig4(0), Orig: 5}, 9)
+	s.assign(&Access{ID: 2, Begin: 0, End: 5, Length: 1, Sig: sig4(1), Orig: 5}, 12)
+	s.finalize()
+	for i := 0; i < 50; i++ {
+		_, err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), "access 1 ") {
+			t.Fatalf("call %d: Validate = %v, want the error for access 1", i, err)
+		}
 	}
 }
 

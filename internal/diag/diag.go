@@ -372,7 +372,7 @@ func (r *Recorder) capture(c Capture) (*BundleInfo, error) {
 		ContentKey:    c.ContentKey,
 		ElapsedMS:     c.ElapsedMS,
 		MedianMS:      c.MedianMS,
-		CreatedUnixMS: time.Now().UnixMilli(), //sddsvet:ignore simdet -- capture timestamp: bundle metadata, never simulation input
+		CreatedUnixMS: time.Now().UnixMilli(), //sddsvet:ignore detflow -- capture timestamp: bundle metadata, never simulation input
 		GoVersion:     runtime.Version(),
 		Files:         entries,
 	}
@@ -434,7 +434,7 @@ func (r *Recorder) addProfiles(add func(string, func(io.Writer) error) error) er
 		if err := pprof.StartCPUProfile(w); err != nil {
 			return nil
 		}
-		time.Sleep(r.opts.CPUProfile) //sddsvet:ignore simdet -- deliberate wall-clock sampling window for the CPU profile
+		time.Sleep(r.opts.CPUProfile) //sddsvet:ignore detflow -- deliberate wall-clock sampling window for the CPU profile
 		pprof.StopCPUProfile()
 		return nil
 	})

@@ -6,13 +6,11 @@
 // of §V-D. Each experiment is a named, self-contained artifact shared by
 // cmd/sddstables and the benchmark harness in bench_test.go.
 //
-// Execution goes through a Session: the session derives the complete set
-// of distinct cluster configurations an experiment batch needs (its run
-// plan), fans the simulations out over a bounded worker pool, and caches
-// every result so overlapping experiments never simulate the same
-// configuration twice. Experiment.Run and the exported per-experiment
-// functions (Table3, Fig12a, ...) are thin wrappers over a process-wide
-// DefaultSession.
+// Execution goes through a Session, the one way to run an experiment
+// (NewSession(...).Run): the session derives the complete set of distinct
+// cluster configurations an experiment batch needs (its run plan), fans
+// the simulations out over a bounded worker pool, and caches every result
+// so overlapping experiments never simulate the same configuration twice.
 package harness
 
 import (
@@ -110,28 +108,15 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// Experiment is a runnable paper artifact. Its run function renders the
-// result from a Session's cache; its plan function enumerates the cluster
-// configurations the run needs, letting the session execute them in
-// parallel before rendering.
+// Experiment is a runnable paper artifact, executed by Session.Run. Its
+// run function renders the result from a Session's cache; its plan
+// function enumerates the cluster configurations the run needs, letting
+// the session execute them in parallel before rendering.
 type Experiment struct {
 	ID    string
 	Title string
 	run   func(ctx context.Context, s *Session, c Config) (*Result, error)
 	plan  func(c Config) []runSpec
-}
-
-// Run executes the experiment on the process-wide default session.
-// It is a compatibility wrapper around RunContext.
-func (e Experiment) Run(c Config) (*Result, error) {
-	return e.RunContext(context.Background(), c)
-}
-
-// RunContext executes the experiment on the process-wide default session,
-// honouring cancellation. For an isolated cache or a custom worker bound
-// use Session.Run instead.
-func (e Experiment) RunContext(ctx context.Context, c Config) (*Result, error) {
-	return DefaultSession().Run(ctx, e, c)
 }
 
 // All returns every experiment in paper order.
@@ -182,12 +167,6 @@ func ByID(id string) (Experiment, error) {
 	}
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ids)
 }
-
-// MemoSize reports how many distinct configurations the default session
-// has simulated in this process.
-//
-// Deprecated: use Session.MemoSize on an explicit session.
-func MemoSize() int { return DefaultSession().MemoSize() }
 
 // runOne resolves one (app × policy × scheme) configuration under the
 // default cluster config through the session cache.
@@ -246,66 +225,3 @@ func planPolicies(scheduling bool) func(Config) []runSpec {
 		return out
 	}
 }
-
-// Compatibility wrappers: each exported experiment function delegates to
-// the default session (parallel execution included).
-
-func runCompat(id string, c Config) (*Result, error) {
-	e, err := ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return DefaultSession().Run(context.Background(), e, c)
-}
-
-// Table2 dumps the default configuration, mirroring Table II.
-func Table2(c Config) (*Result, error) { return runCompat("table2", c) }
-
-// Table3 reports the per-application Default Scheme baseline.
-func Table3(c Config) (*Result, error) { return runCompat("table3", c) }
-
-// Fig12a is the idle-period CDF without the scheme.
-func Fig12a(c Config) (*Result, error) { return runCompat("fig12a", c) }
-
-// Fig12b is the idle-period CDF with the scheme.
-func Fig12b(c Config) (*Result, error) { return runCompat("fig12b", c) }
-
-// Fig12c is normalized energy per policy without the scheme.
-func Fig12c(c Config) (*Result, error) { return runCompat("fig12c", c) }
-
-// Fig12d is normalized energy per policy with the scheme.
-func Fig12d(c Config) (*Result, error) { return runCompat("fig12d", c) }
-
-// Fig13a is performance degradation without the scheme.
-func Fig13a(c Config) (*Result, error) { return runCompat("fig13a", c) }
-
-// Fig13b is performance degradation with the scheme.
-func Fig13b(c Config) (*Result, error) { return runCompat("fig13b", c) }
-
-// Fig13c sweeps the number of I/O nodes.
-func Fig13c(c Config) (*Result, error) { return runCompat("fig13c", c) }
-
-// Fig13d sweeps the vertical reuse range δ.
-func Fig13d(c Config) (*Result, error) { return runCompat("fig13d", c) }
-
-// Fig14a sweeps θ for energy.
-func Fig14a(c Config) (*Result, error) { return runCompat("fig14a", c) }
-
-// Fig14b sweeps θ for performance improvement over θ=2.
-func Fig14b(c Config) (*Result, error) { return runCompat("fig14b", c) }
-
-// CacheSens varies the per-node storage-cache capacity (§V-D).
-func CacheSens(c Config) (*Result, error) { return runCompat("cachesens", c) }
-
-// CompileCost measures the wall-clock cost of the compiler pass per app.
-func CompileCost(c Config) (*Result, error) { return runCompat("compile", c) }
-
-// Oracle compares history-based prediction against an oracle fed true idle
-// lengths (ablation).
-func Oracle(c Config) (*Result, error) { return runCompat("oracle", c) }
-
-// PALRUCache compares plain LRU against the power-aware PA-LRU variant.
-func PALRUCache(c Config) (*Result, error) { return runCompat("palru", c) }
-
-// Ablations quantifies the §IV-B design choices on the scheduler itself.
-func Ablations(c Config) (*Result, error) { return runCompat("ablations", c) }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,6 +10,20 @@ import (
 // tiny returns a config small enough for unit tests: two apps at 2% scale.
 func tiny() Config {
 	return Config{Scale: 0.02, Apps: []string{"sar", "madbench2"}, Seed: 1}
+}
+
+// runExperiment runs one experiment on a fresh session.
+func runExperiment(t *testing.T, id string, c Config) *Result {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewSession(SessionOptions{}).Run(context.Background(), e, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -37,10 +52,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestTable2StaticValues(t *testing.T) {
-	res, err := Table2(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "table2", tiny())
 	out := res.Render()
 	for _, want := range []string{"32", "64KB", "12000 RPM", "17.1W", "44.8W", "16secs", "Elevator", "3600 RPM"} {
 		if !strings.Contains(out, want) {
@@ -50,10 +62,7 @@ func TestTable2StaticValues(t *testing.T) {
 }
 
 func TestTable3Runs(t *testing.T) {
-	res, err := Table3(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "table3", tiny())
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -65,10 +74,7 @@ func TestTable3Runs(t *testing.T) {
 }
 
 func TestFig12aCDFMonotone(t *testing.T) {
-	res, err := Fig12a(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "fig12a", tiny())
 	// Each app column must be nondecreasing down the bucket rows.
 	for col := 1; col < len(res.Headers); col++ {
 		prev := -1.0
@@ -86,10 +92,7 @@ func TestFig12aCDFMonotone(t *testing.T) {
 }
 
 func TestFig12cProducesBars(t *testing.T) {
-	res, err := Fig12c(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "fig12c", tiny())
 	if len(res.Rows) != 2 || len(res.Rows[0]) != 5 {
 		t.Fatalf("unexpected shape: %v", res.Rows)
 	}
@@ -99,10 +102,7 @@ func TestFig12cProducesBars(t *testing.T) {
 }
 
 func TestCompileCost(t *testing.T) {
-	res, err := CompileCost(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "compile", tiny())
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -114,10 +114,7 @@ func TestCompileCost(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	res, err := Ablations(Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "ablations", Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
 	if len(res.Rows) != 6 {
 		t.Fatalf("variants = %d", len(res.Rows))
 	}
@@ -152,10 +149,7 @@ func TestOracleExperimentTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three cluster passes")
 	}
-	res, err := Oracle(Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "oracle", Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 6 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
@@ -165,10 +159,7 @@ func TestPALRUExperimentTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cluster passes")
 	}
-	res, err := PALRUCache(Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "palru", Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 4 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
@@ -178,10 +169,7 @@ func TestFig13dSweepTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten cluster passes")
 	}
-	res, err := Fig13d(Config{Scale: 0.02, Apps: []string{"madbench2"}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExperiment(t, "fig13d", Config{Scale: 0.02, Apps: []string{"madbench2"}, Seed: 1})
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 6 {
 		t.Fatalf("rows = %v", res.Rows)
 	}

@@ -274,9 +274,9 @@ type SessionOptions struct {
 // guarantees each distinct configuration is simulated at most once per
 // session regardless of interleaving.
 //
-// A Session replaces the former package-global run memo; create one per
-// logical batch of experiments (or use DefaultSession for the
-// compatibility entry points).
+// Create one per logical batch of experiments: nothing is shared between
+// sessions except what SessionOptions carries in (a journal, a compile
+// cache).
 type Session struct {
 	workers    int
 	progress   ProgressFunc
@@ -372,19 +372,6 @@ func (s *Session) SetupGroups() int {
 // Preloaded reports how many runs the session cache was seeded with from
 // a resumed journal.
 func (s *Session) Preloaded() int { return s.preloaded }
-
-var (
-	defaultOnce sync.Once
-	defaultSess *Session
-)
-
-// DefaultSession returns the lazily-created process-wide session backing
-// the compatibility entry points (Experiment.Run, Table3, MemoSize, ...).
-// New code should create its own Session with NewSession.
-func DefaultSession() *Session {
-	defaultOnce.Do(func() { defaultSess = NewSession(SessionOptions{}) })
-	return defaultSess
-}
 
 // Workers reports the worker-pool bound.
 func (s *Session) Workers() int { return s.workers }

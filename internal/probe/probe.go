@@ -141,7 +141,7 @@ func NewProbe(capacity int) *Probe {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Probe{ring: make([]Record, n), mask: uint64(n - 1), epoch: time.Now()}
+	return &Probe{ring: make([]Record, n), mask: uint64(n - 1), epoch: time.Now()} //sddsvet:ignore detflow -- host-side telemetry: the span epoch never feeds golden output
 }
 
 // NewSpanProbe returns a probe with no ring: Emit is a no-op, but spans
@@ -149,7 +149,7 @@ func NewProbe(capacity int) *Probe {
 // be handed to concurrent cluster runs (the harness session does exactly
 // this) without violating the ring's single-goroutine contract.
 func NewSpanProbe() *Probe {
-	return &Probe{epoch: time.Now()}
+	return &Probe{epoch: time.Now()} //sddsvet:ignore detflow -- host-side telemetry: the span epoch never feeds golden output
 }
 
 // Emit appends one record to the ring, overwriting the oldest once full.
@@ -235,7 +235,7 @@ func (p *Probe) StartSpan(track int32, name string) Span {
 	if p == nil {
 		return Span{}
 	}
-	now := time.Since(p.epoch).Microseconds() //sddsvet:ignore simdet,detflow -- host-side telemetry: span timestamps never feed golden output
+	now := time.Since(p.epoch).Microseconds() //sddsvet:ignore detflow -- host-side telemetry: span timestamps never feed golden output
 	p.lockSpans()
 	defer p.mu.Unlock()
 	p.spans = append(p.spans, spanRec{track: track, name: name, start: now, end: -1})
@@ -248,7 +248,7 @@ func (s Span) End() {
 	if s.p == nil {
 		return
 	}
-	now := time.Since(s.p.epoch).Microseconds() //sddsvet:ignore simdet,detflow -- host-side telemetry: span timestamps never feed golden output
+	now := time.Since(s.p.epoch).Microseconds() //sddsvet:ignore detflow -- host-side telemetry: span timestamps never feed golden output
 	s.p.lockSpans()
 	defer s.p.mu.Unlock()
 	if s.p.spans[s.idx].end < 0 {

@@ -8,8 +8,8 @@ import (
 // CheckChromeTrace validates Chrome trace-event JSON bytes against the
 // subset of the trace-event format this repo emits (WriteChromeTrace's
 // output shape). It returns one problem line per violation and a one-line
-// event-count summary. It is the shared assertion behind cmd/tracecheck
-// and the sddsdiag bundle inspector: the exporter's unit tests check
+// event-count summary. It is the assertion behind cmd/sddsdiag, for
+// standalone trace files and bundle traces alike: the exporter's unit tests check
 // structure in-process, this checks the actual bytes a user would load
 // into chrome://tracing.
 //

@@ -1,8 +1,6 @@
-package main
+package probe
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -14,8 +12,8 @@ const goodTrace = `{"traceEvents":[
  {"name":"io issue","ph":"i","pid":0,"tid":0,"ts":200,"s":"t","args":{"bytes":4096}}
 ],"displayTimeUnit":"ms"}`
 
-func TestCheckGood(t *testing.T) {
-	problems, stats, err := check([]byte(goodTrace))
+func TestCheckChromeTraceGood(t *testing.T) {
+	problems, stats, err := CheckChromeTrace([]byte(goodTrace))
 	if err != nil || len(problems) != 0 {
 		t.Fatalf("good trace rejected: %v %v", problems, err)
 	}
@@ -24,7 +22,7 @@ func TestCheckGood(t *testing.T) {
 	}
 }
 
-func TestCheckViolations(t *testing.T) {
+func TestCheckChromeTraceViolations(t *testing.T) {
 	cases := []struct {
 		name, json, want string
 	}{
@@ -37,7 +35,7 @@ func TestCheckViolations(t *testing.T) {
 		{"anonymous thread", `{"traceEvents":[{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{}}]}`, ""},
 	}
 	for _, c := range cases {
-		problems, _, err := check([]byte(c.json))
+		problems, _, err := CheckChromeTrace([]byte(c.json))
 		if c.want != "" {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s: err = %v, want %q", c.name, err, c.want)
@@ -50,26 +48,5 @@ func TestCheckViolations(t *testing.T) {
 		if len(problems) == 0 {
 			t.Fatalf("%s: no problems reported", c.name)
 		}
-	}
-}
-
-func TestRunEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(good, []byte(goodTrace), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{good}); err != nil {
-		t.Fatalf("run(good) = %v", err)
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"traceEvents":[{"name":"x","ph":"Z","pid":0,"tid":0}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{bad}); err == nil {
-		t.Fatal("run(bad) accepted an invalid trace")
-	}
-	if err := run(nil); err == nil {
-		t.Fatal("run with no args must fail with usage")
 	}
 }

@@ -363,10 +363,9 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	req, known := s.seen[key]
 	running := s.inflight[key] > 0
 	s.mu.Unlock()
-	if running {
-		writeJSON(w, http.StatusAccepted, RunResponse{Key: key, Request: req})
-		return
-	}
+	// A resolved verdict wins over the inflight count: a later request for
+	// the same key holds it above zero while it reads the cached result,
+	// and that must not turn a finished run back into 202.
 	if known {
 		if res, rerr, ok := s.sess.Cached(req); ok {
 			resp := RunResponse{Key: key, Request: req, Cached: true}
@@ -379,6 +378,10 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
+	}
+	if running {
+		writeJSON(w, http.StatusAccepted, RunResponse{Key: key, Request: req})
+		return
 	}
 	// Not resolved in this process: the persistent store still answers for
 	// runs recorded by earlier lifetimes.

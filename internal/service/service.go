@@ -257,7 +257,7 @@ func NewServer(o Options) (*Server, error) {
 		Diag:                s.diag,
 		Log:                 o.Log,
 	})
-	s.start = time.Now() //sddsvet:ignore simdet -- wall-clock service uptime, not simulated time
+	s.start = time.Now() //sddsvet:ignore detflow -- wall-clock service uptime, not simulated time
 	return s, nil
 }
 
@@ -300,9 +300,9 @@ func (s *Server) runOne(ctx context.Context, req harness.Request) RunResponse {
 	s.submitted.Inc()
 	s.regMu.Unlock()
 
-	start := time.Now() //sddsvet:ignore simdet -- wall-clock request latency, not simulated time
+	start := time.Now() //sddsvet:ignore detflow -- wall-clock request latency, not simulated time
 	res, hit, err := s.sess.RunRequest(ctx, req)
-	elapsed := time.Since(start) //sddsvet:ignore simdet -- wall-clock request latency, not simulated time
+	elapsed := time.Since(start) //sddsvet:ignore detflow -- wall-clock request latency, not simulated time
 	resp := RunResponse{
 		Key:       key,
 		Request:   req,
@@ -340,7 +340,7 @@ func (s *Server) Status() StatusResponse {
 	s.mu.Unlock()
 	sort.Strings(keys)
 	resp := StatusResponse{
-		UptimeMS:     time.Since(s.start).Milliseconds(),
+		UptimeMS:     time.Since(s.start).Milliseconds(), //sddsvet:ignore detflow -- wall-clock service uptime, not simulated time
 		Workers:      s.sess.Workers(),
 		InFlight:     s.sess.InFlight(),
 		InFlightKeys: keys,

@@ -124,8 +124,8 @@ type (
 	// Session owns a run cache and a bounded worker pool: it plans every
 	// distinct cluster configuration an experiment batch needs, simulates
 	// each exactly once (concurrent callers share in-flight runs), and
-	// reports progress. Create one per batch with NewSession, or rely on
-	// the process-wide default behind Experiment.Run.
+	// reports progress. Create one per batch with NewSession and run
+	// experiments through Session.Run.
 	Session = harness.Session
 	// SessionOptions configures NewSession (worker bound, progress hook).
 	SessionOptions = harness.SessionOptions

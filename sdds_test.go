@@ -145,17 +145,25 @@ func TestPublicFacadeSession(t *testing.T) {
 	}
 }
 
-// TestPublicFacadeExperimentRunContext checks the compatibility surface:
-// Experiment.Run and Experiment.RunContext share the default session.
+// TestPublicFacadeExperimentRunContext runs an experiment looked up through
+// the facade on a fresh session, honouring the context: a live one renders
+// the table, a cancelled one is refused.
 func TestPublicFacadeExperimentRunContext(t *testing.T) {
 	e, err := sdds.ExperimentByID("table2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(sdds.HarnessConfig{}); err != nil {
+	s := sdds.NewSession(sdds.SessionOptions{})
+	res, err := s.Run(context.Background(), e, sdds.HarnessConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunContext(context.Background(), sdds.HarnessConfig{}); err != nil {
-		t.Fatal(err)
+	if res.ID != "table2" || len(res.Rows) == 0 {
+		t.Fatalf("table2 result = %+v", res)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Run(ctx, e, sdds.HarnessConfig{}); err == nil {
+		t.Fatal("cancelled context accepted")
 	}
 }
