@@ -18,13 +18,30 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// evictedBy puts k into c and returns the keys the Put evicted, least
+// recently used first.
+func evictedBy(c interface {
+	Store
+	Keys() []Key
+}, k Key, size int64) ([]Key, bool) {
+	before := c.Keys()
+	ok := c.Put(k, size)
+	var out []Key
+	for i := len(before) - 1; i >= 0; i-- {
+		if !c.Contains(before[i]) {
+			out = append(out, before[i])
+		}
+	}
+	return out, ok
+}
+
 func TestPutGetRemove(t *testing.T) {
 	c := MustNew(100)
 	k := Key{File: 1, Block: 7}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if _, ok := c.Put(k, 40); !ok {
+	if ok := c.Put(k, 40); !ok {
 		t.Fatal("Put failed")
 	}
 	if size, ok := c.Get(k); !ok || size != 40 {
@@ -55,7 +72,7 @@ func TestEvictionOrder(t *testing.T) {
 	}
 	// Touch block 0 so block 1 becomes LRU.
 	c.Get(Key{Block: 0})
-	evicted, ok := c.Put(Key{Block: 9}, 30)
+	evicted, ok := evictedBy(c, Key{Block: 9}, 30)
 	if !ok {
 		t.Fatal("Put failed")
 	}
@@ -78,13 +95,13 @@ func TestPutUpdatesSize(t *testing.T) {
 
 func TestOversizedRejected(t *testing.T) {
 	c := MustNew(100)
-	if _, ok := c.Put(Key{Block: 1}, 101); ok {
+	if ok := c.Put(Key{Block: 1}, 101); ok {
 		t.Fatal("oversized block accepted")
 	}
-	if _, ok := c.Put(Key{Block: 1}, 0); ok {
+	if ok := c.Put(Key{Block: 1}, 0); ok {
 		t.Fatal("zero-size block accepted")
 	}
-	if _, ok := c.Put(Key{Block: 1}, 100); !ok {
+	if ok := c.Put(Key{Block: 1}, 100); !ok {
 		t.Fatal("exact-capacity block rejected")
 	}
 }
@@ -97,7 +114,7 @@ func TestContainsDoesNotPromote(t *testing.T) {
 		t.Fatal("Contains missed")
 	}
 	// Block 1 is still LRU: inserting evicts it despite Contains.
-	evicted, _ := c.Put(Key{Block: 3}, 25)
+	evicted, _ := evictedBy(c, Key{Block: 3}, 25)
 	if len(evicted) != 1 || evicted[0] != (Key{Block: 1}) {
 		t.Fatalf("evicted = %v", evicted)
 	}
@@ -169,6 +186,36 @@ func BenchmarkLRUPutGet(b *testing.B) {
 		k := Key{Block: int64(i % 2000)}
 		if _, ok := c.Get(k); !ok {
 			c.Put(k, 64<<10)
+		}
+	}
+}
+
+// TestPutGetAllocateNothing pins the slab-backed recency list: once the
+// slab covers the working set, Put (with evictions) and Get allocate
+// nothing on either cache.
+func TestPutGetAllocateNothing(t *testing.T) {
+	pal, err := NewPALRU(16*100, func(k Key) bool { return k.Block%3 != 0 }, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Store{MustNew(16 * 100), pal} {
+		var b int64
+		op := func() {
+			// 40 keys cycling through a 16-block cache: every Put of a new
+			// block evicts, and the Get of an older block misses or hits.
+			b = (b + 1) % 40
+			c.Put(Key{File: 1, Block: b}, 100)
+			c.Get(Key{File: 1, Block: (b + 30) % 40})
+			c.Put(Key{File: 1, Block: b}, 90) // refresh in place
+		}
+		for i := 0; i < 1000; i++ {
+			op()
+		}
+		if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+			t.Fatalf("%T: Put/Get allocate %v objects, want 0", c, allocs)
+		}
+		if hits, _, evictions := c.Stats(); evictions == 0 || hits == 0 {
+			t.Fatalf("%T: hits=%d evictions=%d: path not exercised", c, hits, evictions)
 		}
 	}
 }

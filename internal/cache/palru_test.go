@@ -23,7 +23,7 @@ func TestPALRUBehavesAsLRUWithoutCallback(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		c.Put(Key{Block: i}, 25)
 	}
-	evicted, ok := c.Put(Key{Block: 9}, 25)
+	evicted, ok := evictedBy(c, Key{Block: 9}, 25)
 	if !ok || len(evicted) != 1 || evicted[0] != (Key{Block: 0}) {
 		t.Fatalf("evicted = %v, %v; want strict LRU victim", evicted, ok)
 	}
@@ -44,7 +44,7 @@ func TestPALRUProtectsSleepingDisks(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		c.Put(Key{Block: i}, 25)
 	}
-	evicted, _ := c.Put(Key{Block: 11}, 25)
+	evicted, _ := evictedBy(c, Key{Block: 11}, 25)
 	if len(evicted) != 1 || evicted[0] != (Key{Block: 1}) {
 		t.Fatalf("evicted = %v, want block 1 (oldest awake-disk block)", evicted)
 	}
@@ -62,7 +62,7 @@ func TestPALRUFallsBackWhenAllSleeping(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		c.Put(Key{Block: i}, 25)
 	}
-	evicted, _ := c.Put(Key{Block: 9}, 25)
+	evicted, _ := evictedBy(c, Key{Block: 9}, 25)
 	if len(evicted) != 1 || evicted[0] != (Key{Block: 0}) {
 		t.Fatalf("evicted = %v, want strict LRU fallback", evicted)
 	}

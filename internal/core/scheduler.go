@@ -16,6 +16,11 @@ type Scheduler struct {
 	group  []stripe.Signature // G_t: group active signature per slot
 	counts [][]int32          // per-slot per-node scheduled access counts (θ)
 	busy   map[procSlot]bool  // (proc, slot) occupancy
+
+	// nodes lists the I/O nodes of the access being placed, ascending;
+	// filled once per access and reused, so the θ checks and the commit
+	// walk it without allocating per candidate slot.
+	nodes []int
 }
 
 type procSlot struct{ proc, slot int }
@@ -76,6 +81,7 @@ func (s *Scheduler) Schedule(accesses []*Access) (*Schedule, error) {
 
 	sched := newSchedule(s.params, len(accesses))
 	for _, a := range order {
+		s.nodes = a.Sig.AppendNodes(s.nodes[:0])
 		point := s.place(a)
 		s.commit(a, point)
 		sched.assign(a, point)
@@ -219,15 +225,15 @@ func (s *Scheduler) reuseFactor(a *Access, t int) float64 {
 }
 
 // thetaOK reports whether starting a at slot t keeps every I/O node the
-// access touches within θ concurrent accesses across the whole span.
+// access touches (s.nodes) within θ concurrent accesses across the whole
+// span.
 func (s *Scheduler) thetaOK(a *Access, t int) bool {
-	nodes := a.Sig.Nodes()
 	for k := 0; k < a.Length; k++ {
 		slot := t + k
 		if slot >= s.params.NumSlots {
 			break
 		}
-		for _, n := range nodes {
+		for _, n := range s.nodes {
 			if s.counts[slot][n]+1 > int32(s.params.Theta) {
 				return false
 			}
@@ -240,7 +246,6 @@ func (s *Scheduler) thetaOK(a *Access, t int) bool {
 // over-subscribed node, averaged over the slots of the span, assuming a is
 // placed at t.
 func (s *Scheduler) averageExcess(a *Access, t int) float64 {
-	nodes := a.Sig.Nodes()
 	var excess float64
 	var overNodes int
 	for k := 0; k < a.Length; k++ {
@@ -248,7 +253,7 @@ func (s *Scheduler) averageExcess(a *Access, t int) float64 {
 		if slot >= s.params.NumSlots {
 			break
 		}
-		for _, n := range nodes {
+		for _, n := range s.nodes {
 			m := s.counts[slot][n] + 1
 			if int(m) > s.params.Theta {
 				excess += float64(int(m) - s.params.Theta)
@@ -265,7 +270,6 @@ func (s *Scheduler) averageExcess(a *Access, t int) float64 {
 // commit records a's placement at slot point: per-process occupancy, group
 // active signatures, and θ counters.
 func (s *Scheduler) commit(a *Access, point int) {
-	nodes := a.Sig.Nodes()
 	for k := 0; k < a.Length; k++ {
 		slot := point + k
 		if slot >= s.params.NumSlots {
@@ -274,7 +278,7 @@ func (s *Scheduler) commit(a *Access, point int) {
 		s.busy[procSlot{a.Proc, slot}] = true
 		s.group[slot].OrInPlace(a.Sig)
 		if s.counts != nil {
-			for _, n := range nodes {
+			for _, n := range s.nodes {
 				s.counts[slot][n]++
 			}
 		}

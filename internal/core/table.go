@@ -120,6 +120,7 @@ func (s *Schedule) Validate() (ValidationReport, error) {
 	type ps struct{ proc, slot int }
 	seen := make(map[ps]bool)
 	counts := make(map[int]map[int]int) // slot → node → count
+	var nodes []int                     // reused per access: ascending node list
 	for _, as := range s.Assignments() {
 		id, point := as.ID, as.Point
 		a := s.access[id]
@@ -129,6 +130,7 @@ func (s *Schedule) Validate() (ValidationReport, error) {
 		if point+a.Length-1 > a.End && a.Length <= a.SlackLen() {
 			return rep, fmt.Errorf("core: access %d (len %d) at %d overruns slack end %d", id, a.Length, point, a.End)
 		}
+		nodes = a.Sig.AppendNodes(nodes[:0])
 		for k := 0; k < a.Length; k++ {
 			slot := point + k
 			if slot >= s.params.NumSlots {
@@ -144,7 +146,7 @@ func (s *Schedule) Validate() (ValidationReport, error) {
 				m = make(map[int]int)
 				counts[slot] = m
 			}
-			for _, n := range a.Sig.Nodes() {
+			for _, n := range nodes {
 				m[n]++
 				if m[n] > rep.MaxPerNode {
 					rep.MaxPerNode = m[n]

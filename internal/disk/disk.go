@@ -261,10 +261,10 @@ func (d *Disk) closeIdleGap(now sim.Time) {
 // for queued predecessors.
 func (d *Disk) Submit(r *Request) error {
 	if r.Bytes <= 0 {
-		return fmt.Errorf("disk %d: request bytes %d must be positive", d.ID, r.Bytes)
+		return fmt.Errorf("disk %d: request bytes %d must be positive", d.ID, r.Bytes) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	if r.Sector < 0 || r.Sector >= d.params.TotalSectors() {
-		return fmt.Errorf("disk %d: sector %d out of range [0,%d)", d.ID, r.Sector, d.params.TotalSectors())
+		return fmt.Errorf("disk %d: sector %d out of range [0,%d)", d.ID, r.Sector, d.params.TotalSectors()) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	now := d.eng.Now()
 	r.Arrival = now

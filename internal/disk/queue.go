@@ -17,7 +17,7 @@ func (q *elevator) Len() int { return len(q.pending) }
 
 // Push inserts a request keeping the slice cylinder-sorted.
 func (q *elevator) Push(r *Request) {
-	i := sort.Search(len(q.pending), func(i int) bool {
+	i := sort.Search(len(q.pending), func(i int) bool { //sddsvet:ignore hotalloc -- sort.Search predicate does not escape: no per-call heap allocation
 		return q.pending[i].cylinder >= r.cylinder
 	})
 	q.pending = append(q.pending, nil)

@@ -7,6 +7,7 @@ import (
 	"sdds/internal/cache"
 	"sdds/internal/disk"
 	"sdds/internal/fault"
+	"sdds/internal/pool"
 	"sdds/internal/probe"
 	"sdds/internal/sim"
 )
@@ -79,7 +80,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ionode: negative flush epoch")
 	}
 	// Dry-run the mapper to surface level/member mismatches.
-	if _, err := raidMap(c.Level, c.Members, 0, 0, 1, false, int64(c.DiskParams.SectorSize), c.UnitBytes); err != nil {
+	if _, _, err := raidMap(c.Level, c.Members, 0, 0, 1, false, int64(c.DiskParams.SectorSize), c.UnitBytes); err != nil {
 		return err
 	}
 	return nil
@@ -113,7 +114,7 @@ type Node struct {
 	// Stride prefetcher state (per file).
 	lastUnit  map[int]int64
 	lastDelta map[int]int64
-	inflight  map[cache.Key][]func(sim.Time, bool) // miss coalescing
+	inflight  map[cache.Key]*unitFetch // miss coalescing
 
 	// Write-back state: dirty units awaiting the epoch flush.
 	dirty      map[cache.Key]int64 // key → bytes pending
@@ -128,6 +129,14 @@ type Node struct {
 	// done func(sim.Time, bool). Bound once so the cache-hit and
 	// write-back-ack paths schedule without a per-call closure.
 	okCb sim.ArgHandler
+	// flushFn is the write-back epoch timer's handler, bound once.
+	flushFn sim.Handler
+
+	// Pools recycling the request path's state: member-disk batches, unit
+	// fetches and stalled requests (see batch, unitFetch and stalled).
+	batches *pool.Pool[batch]
+	fetches *pool.Pool[unitFetch]
+	stalls  *pool.Pool[stalled]
 
 	stats Stats
 }
@@ -146,12 +155,16 @@ func New(eng *sim.Engine, id int, cfg Config) (*Node, error) {
 		cfg:       cfg,
 		lastUnit:  make(map[int]int64),
 		lastDelta: make(map[int]int64),
-		inflight:  make(map[cache.Key][]func(sim.Time, bool)),
+		inflight:  make(map[cache.Key]*unitFetch),
 		dirty:     make(map[cache.Key]int64),
 		pr:        eng.Probe(),
 		flt:       eng.Faults(),
 	}
 	n.okCb = n.onOK
+	n.flushFn = n.onFlushTimer
+	n.batches = pool.New(n.newBatch)
+	n.fetches = pool.New(n.newFetch)
+	n.stalls = pool.New(n.newStalled)
 	for i := 0; i < cfg.Members; i++ {
 		d, err := disk.New(eng, id*100+i, cfg.DiskParams)
 		if err != nil {
@@ -184,9 +197,9 @@ func MustNew(eng *sim.Engine, id int, cfg Config) *Node {
 // spinning (the PA-LRU activity callback): blocks of sleeping disks are
 // protected from eviction.
 func (n *Node) diskAwake(k cache.Key) bool {
-	ios, err := raidMap(n.cfg.Level, n.cfg.Members, k.Block, 0, 1, false,
+	ios, cnt, err := raidMap(n.cfg.Level, n.cfg.Members, k.Block, 0, 1, false,
 		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
-	if err != nil || len(ios) == 0 {
+	if err != nil || cnt == 0 {
 		return true
 	}
 	d := ios[0].disk
@@ -238,19 +251,11 @@ func (n *Node) onOK(now sim.Time, arg any) { arg.(func(sim.Time, bool))(now, tru
 // the cache) and trigger stride prefetch.
 func (n *Node) Read(file int, unit, offset, length int64, done func(now sim.Time, ok bool)) error {
 	if length <= 0 || offset < 0 || offset+length > n.cfg.UnitBytes {
-		return fmt.Errorf("ionode %d: bad read range unit=%d off=%d len=%d", n.ID, unit, offset, length)
+		return fmt.Errorf("ionode %d: bad read range unit=%d off=%d len=%d", n.ID, unit, offset, length) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	// Injected node stall: the node accepts the request only after the
 	// stall elapses, then serves it normally.
-	if n.flt.Hit(fault.SiteNodeStall) {
-		n.stats.Stalls++
-		n.pr.Emit(probe.KindFault, int32(fault.SiteNodeStall), int64(n.eng.Now()), int64(n.ID))
-		//sddsvet:ignore hotalloc -- fault path: one closure per injected stall
-		n.eng.ScheduleFunc(sim.Duration(n.flt.NodeStallUS()), "ionode.stall", func(now sim.Time) {
-			if n.readNow(file, unit, offset, length, done) != nil {
-				done(now, false) // validated config: unreachable raidMap error
-			}
-		})
+	if n.stall(false, file, unit, offset, length, done) {
 		return nil
 	}
 	return n.readNow(file, unit, offset, length, done)
@@ -270,27 +275,12 @@ func (n *Node) readNow(file int, unit, offset, length int64, done func(now sim.T
 	}
 	n.stats.CacheMisses++
 	n.pr.Emit(probe.KindCacheMiss, int32(n.ID), int64(n.eng.Now()), unit)
-	if waiters, ok := n.inflight[key]; ok {
+	if f, ok := n.inflight[key]; ok {
 		// Coalesce with an in-flight fetch of the same unit.
-		n.inflight[key] = append(waiters, done)
+		f.waiters = append(f.waiters, done)
 		return nil
 	}
-	n.inflight[key] = []func(sim.Time, bool){done}
-	if err := n.fetchUnit(file, unit, func(now sim.Time, ok bool) {
-		waiters := n.inflight[key]
-		delete(n.inflight, key)
-		if ok {
-			n.cache.Put(key, n.cfg.UnitBytes)
-		} else {
-			// Exhausted retries: the unit never arrived. Do not cache;
-			// waiters degrade (the middleware re-reads or fails the chunk).
-			n.stats.FailedUnits++
-		}
-		for _, w := range waiters {
-			w(now, ok)
-		}
-	}); err != nil {
-		delete(n.inflight, key)
+	if err := n.fetch(file, unit, key, done); err != nil {
 		return err
 	}
 	n.prefetch(file, unit)
@@ -302,17 +292,9 @@ func (n *Node) readNow(file int, unit, offset, length int64, done func(now sim.T
 // cache). ok=false only under fault injection with retries exhausted.
 func (n *Node) Write(file int, unit, offset, length int64, done func(now sim.Time, ok bool)) error {
 	if length <= 0 || offset < 0 || offset+length > n.cfg.UnitBytes {
-		return fmt.Errorf("ionode %d: bad write range unit=%d off=%d len=%d", n.ID, unit, offset, length)
+		return fmt.Errorf("ionode %d: bad write range unit=%d off=%d len=%d", n.ID, unit, offset, length) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
-	if n.flt.Hit(fault.SiteNodeStall) {
-		n.stats.Stalls++
-		n.pr.Emit(probe.KindFault, int32(fault.SiteNodeStall), int64(n.eng.Now()), int64(n.ID))
-		//sddsvet:ignore hotalloc -- fault path: one closure per injected stall
-		n.eng.ScheduleFunc(sim.Duration(n.flt.NodeStallUS()), "ionode.stall", func(now sim.Time) {
-			if n.writeNow(file, unit, offset, length, done) != nil {
-				done(now, false) // validated config: unreachable raidMap error
-			}
-		})
+	if n.stall(true, file, unit, offset, length, done) {
 		return nil
 	}
 	return n.writeNow(file, unit, offset, length, done)
@@ -334,12 +316,12 @@ func (n *Node) writeNow(file int, unit, offset, length int64, done func(now sim.
 		n.eng.ScheduleArg(n.cfg.CacheHitTime, "ionode.wb-ack", n.okCb, done)
 		return nil
 	}
-	ios, err := raidMap(n.cfg.Level, n.cfg.Members, unit, offset, length, true,
+	ios, cnt, err := raidMap(n.cfg.Level, n.cfg.Members, unit, offset, length, true,
 		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
 	if err != nil {
 		return err
 	}
-	return n.issue(ios, done)
+	return n.issue(ios, cnt, done)
 }
 
 // armFlush schedules the next epoch flush if one is not pending.
@@ -348,14 +330,17 @@ func (n *Node) armFlush() {
 		return
 	}
 	n.flushTimer = true
-	//sddsvet:ignore hotalloc -- one closure per flush epoch (seconds apart), not per request
-	n.eng.ScheduleFunc(n.cfg.FlushEpoch, "ionode.flush", func(now sim.Time) {
-		n.flushTimer = false
-		n.Flush(now)
-		if len(n.dirty) > 0 {
-			n.armFlush()
-		}
-	})
+	n.eng.ScheduleFunc(n.cfg.FlushEpoch, "ionode.flush", n.flushFn)
+}
+
+// onFlushTimer runs the epoch flush and re-arms the timer while dirty
+// units remain.
+func (n *Node) onFlushTimer(now sim.Time) {
+	n.flushTimer = false
+	n.Flush(now)
+	if len(n.dirty) > 0 {
+		n.armFlush()
+	}
 }
 
 // Flush writes all dirty units to the member disks (write-back mode). It is
@@ -381,13 +366,13 @@ func (n *Node) Flush(now sim.Time) {
 		return keys[i].Block < keys[j].Block
 	})
 	for _, key := range keys {
-		ios, err := raidMap(n.cfg.Level, n.cfg.Members, key.Block, 0, batch[key], true,
+		ios, cnt, err := raidMap(n.cfg.Level, n.cfg.Members, key.Block, 0, batch[key], true,
 			int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
 		if err != nil {
 			continue
 		}
 		n.stats.Flushes++
-		if err := n.issue(ios, func(sim.Time, bool) {}); err != nil {
+		if err := n.issue(ios, cnt, func(sim.Time, bool) {}); err != nil {
 			continue
 		}
 	}
@@ -398,78 +383,236 @@ func (n *Node) DirtyUnits() int { return len(n.dirty) }
 
 // fetchUnit reads an entire stripe unit from the member disks.
 func (n *Node) fetchUnit(file int, unit int64, done func(now sim.Time, ok bool)) error {
-	ios, err := raidMap(n.cfg.Level, n.cfg.Members, unit, 0, n.cfg.UnitBytes, false,
+	ios, cnt, err := raidMap(n.cfg.Level, n.cfg.Members, unit, 0, n.cfg.UnitBytes, false,
 		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
 	if err != nil {
 		return err
 	}
-	return n.issue(ios, done)
+	return n.issue(ios, cnt, done)
 }
 
-// issue submits the member-disk operations and calls done when the last
-// completes. A member request surfacing an injected transient error is
-// resubmitted after an exponential backoff (RetryLatency << attempt),
-// bounded by the injector's MaxRetries; a request that fails every retry
-// marks the whole batch failed (ok=false) — degradation, never a hang.
-func (n *Node) issue(ios []diskIO, done func(now sim.Time, ok bool)) error {
-	remaining := len(ios)
-	if remaining == 0 {
+// unitFetch is one whole-unit read in flight, keyed in inflight: later
+// misses on the unit wait on it rather than re-reading, and a prefetch
+// starts it with no waiters. doneFn is bound once, when the pool allocates
+// the fetch, and the waiter slice keeps its capacity across reuse.
+type unitFetch struct {
+	n       *Node
+	key     cache.Key
+	waiters []func(now sim.Time, ok bool)
+	doneFn  func(now sim.Time, ok bool)
+}
+
+// newFetch grows the unit-fetch pool.
+func (n *Node) newFetch() *unitFetch {
+	f := &unitFetch{n: n} //sddsvet:ignore hotalloc -- pool growth: one per concurrently fetched unit
+	f.doneFn = f.done
+	return f
+}
+
+// fetch starts reading unit `unit` (cache key key) into the cache, with
+// waiter, if non-nil, as its first waiter.
+func (n *Node) fetch(file int, unit int64, key cache.Key, waiter func(now sim.Time, ok bool)) error {
+	f := n.fetches.Get()
+	f.key = key
+	if waiter != nil {
+		f.waiters = append(f.waiters, waiter)
+	}
+	n.inflight[key] = f
+	if err := n.fetchUnit(file, unit, f.doneFn); err != nil {
+		delete(n.inflight, key)
+		f.release()
+		return err
+	}
+	return nil
+}
+
+// done installs the fetched unit and completes its waiters. After
+// exhausted retries the unit never arrived: it is not cached, and the
+// waiters degrade (the middleware re-reads or fails the chunk).
+func (f *unitFetch) done(now sim.Time, ok bool) {
+	n := f.n
+	delete(n.inflight, f.key)
+	if ok {
+		n.cache.Put(f.key, n.cfg.UnitBytes)
+	} else {
+		n.stats.FailedUnits++
+	}
+	for _, w := range f.waiters {
+		w(now, ok)
+	}
+	f.release()
+}
+
+// release drops the waiters and returns the fetch to its pool.
+func (f *unitFetch) release() {
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
+	f.n.fetches.Put(f)
+}
+
+// batch is one logical unit operation fanned out to at most two member
+// disks; done fires when the last member request completes. The members'
+// Done handlers are bound once, when the pool allocates the batch, and
+// each member keeps its attempt count across resubmissions, so the batch
+// returns to its pool only after its final member completion — never
+// while a disk queue or a retry event still holds one of its requests.
+type batch struct {
+	n         *Node
+	remaining int
+	allOK     bool
+	done      func(now sim.Time, ok bool)
+	mem       [2]member
+}
+
+// member is one member-disk request of a batch.
+type member struct {
+	b        *batch
+	disk     *disk.Disk
+	attempts int
+	req      disk.Request
+}
+
+// newBatch grows the batch pool.
+func (n *Node) newBatch() *batch {
+	b := &batch{n: n} //sddsvet:ignore hotalloc -- pool growth: one per concurrently in-flight unit operation
+	for i := range b.mem {
+		m := &b.mem[i]
+		m.b = b
+		m.req.Done = m.onDone
+	}
+	return b
+}
+
+// issue submits the member-disk operations ios[:cnt] and calls done when
+// the last completes. A member request surfacing an injected transient
+// error is resubmitted after an exponential backoff (RetryLatency <<
+// attempt), bounded by the injector's MaxRetries; a request that fails
+// every retry marks the whole batch failed (ok=false) — degradation, never
+// a hang. A submission error is returned and done never fires.
+func (n *Node) issue(ios [2]diskIO, cnt int, done func(now sim.Time, ok bool)) error {
+	if cnt == 0 {
 		n.eng.ScheduleArg(0, "ionode.noop", n.okCb, done)
 		return nil
 	}
-	allOK := true
-	for _, io := range ios {
-		if io.disk < 0 || io.disk >= len(n.disks) {
-			return fmt.Errorf("ionode %d: mapped to invalid member %d", n.ID, io.disk)
-		}
-		op := disk.OpRead
-		if io.write {
-			op = disk.OpWrite
-		}
-		sector := io.sector
-		if max := n.cfg.DiskParams.TotalSectors(); sector >= max {
-			sector = sector % max // wrap for scaled-down capacities
-		}
-		d := n.disks[io.disk]
-		attempts := 0
-		var onDone func(now sim.Time, r *disk.Request)
-		onDone = func(now sim.Time, r *disk.Request) {
-			if r.Err != nil && attempts < n.flt.MaxRetries() {
-				attempts++
-				n.stats.Retries++
-				n.pr.Emit(probe.KindRetry, int32(n.ID), int64(now), int64(attempts))
-				backoff := sim.Duration(n.flt.RetryLatencyUS()) << (attempts - 1)
-				//sddsvet:ignore hotalloc -- fault path: one resubmit closure per injected transient error
-				n.eng.ScheduleFunc(backoff, "ionode.retry", func(at sim.Time) {
-					if d.Submit(r) != nil {
-						// Unreachable on a validated config; degrade
-						// rather than retry forever.
-						attempts = n.flt.MaxRetries()
-						onDone(at, r)
-					}
-				})
-				return
+	b := n.batches.Get()
+	b.remaining, b.allOK, b.done = cnt, true, done
+	for i := 0; i < cnt; i++ {
+		if err := n.submit(&b.mem[i], ios[i]); err != nil {
+			// Members already submitted still complete and release the
+			// batch, silently.
+			b.done = nil
+			b.remaining -= cnt - i
+			if b.remaining == 0 {
+				n.batches.Put(b)
 			}
-			if r.Err != nil {
-				n.stats.RetriesExhausted++
-				allOK = false
-			}
-			remaining--
-			if remaining == 0 {
-				done(now, allOK)
-			}
-		}
-		req := &disk.Request{
-			Op:     op,
-			Sector: sector,
-			Bytes:  io.bytes,
-			Done:   onDone,
-		}
-		if err := d.Submit(req); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// submit points member m at io and submits its request.
+func (n *Node) submit(m *member, io diskIO) error {
+	if io.disk < 0 || io.disk >= len(n.disks) {
+		return fmt.Errorf("ionode %d: mapped to invalid member %d", n.ID, io.disk) //sddsvet:ignore hotalloc -- error path: a setup bug on a validated config
+	}
+	m.req.Op = disk.OpRead
+	if io.write {
+		m.req.Op = disk.OpWrite
+	}
+	m.req.Sector = io.sector
+	if max := n.cfg.DiskParams.TotalSectors(); m.req.Sector >= max {
+		m.req.Sector %= max // wrap for scaled-down capacities
+	}
+	m.req.Bytes = io.bytes
+	m.disk = n.disks[io.disk]
+	m.attempts = 0
+	return m.disk.Submit(&m.req)
+}
+
+// onDone completes one member request, resubmitting it after a backoff on
+// a transient error while retries remain.
+func (m *member) onDone(now sim.Time, r *disk.Request) {
+	b := m.b
+	n := b.n
+	if r.Err != nil && m.attempts < n.flt.MaxRetries() {
+		m.attempts++
+		n.stats.Retries++
+		n.pr.Emit(probe.KindRetry, int32(n.ID), int64(now), int64(m.attempts))
+		backoff := sim.Duration(n.flt.RetryLatencyUS()) << (m.attempts - 1)
+		n.eng.ScheduleArg(backoff, "ionode.retry", resubmitCb, m)
+		return
+	}
+	if r.Err != nil {
+		n.stats.RetriesExhausted++
+		b.allOK = false
+	}
+	b.remaining--
+	if b.remaining > 0 {
+		return
+	}
+	done, ok := b.done, b.allOK
+	n.batches.Put(b)
+	if done != nil {
+		done(now, ok)
+	}
+}
+
+// resubmitCb resubmits a member request after its retry backoff.
+func resubmitCb(at sim.Time, arg any) {
+	m := arg.(*member)
+	if m.disk.Submit(&m.req) != nil {
+		// Unreachable on a validated config; degrade rather than retry
+		// forever.
+		m.attempts = m.b.n.flt.MaxRetries()
+		m.onDone(at, &m.req)
+	}
+}
+
+// stalled is a request an injected node stall holds at the door; the node
+// accepts it when the stall elapses.
+type stalled struct {
+	n                    *Node
+	write                bool
+	file                 int
+	unit, offset, length int64
+	done                 func(now sim.Time, ok bool)
+}
+
+// newStalled grows the stalled-request pool.
+func (n *Node) newStalled() *stalled {
+	return &stalled{n: n} //sddsvet:ignore hotalloc -- pool growth: one per concurrently stalled request
+}
+
+// stall draws the node-stall fault for a request; on a hit it defers the
+// request until the stall elapses, then serves it normally.
+func (n *Node) stall(write bool, file int, unit, offset, length int64, done func(now sim.Time, ok bool)) bool {
+	if !n.flt.Hit(fault.SiteNodeStall) {
+		return false
+	}
+	n.stats.Stalls++
+	n.pr.Emit(probe.KindFault, int32(fault.SiteNodeStall), int64(n.eng.Now()), int64(n.ID))
+	s := n.stalls.Get()
+	s.write, s.file, s.unit, s.offset, s.length, s.done = write, file, unit, offset, length, done
+	n.eng.ScheduleArg(sim.Duration(n.flt.NodeStallUS()), "ionode.stall", admitCb, s)
+	return true
+}
+
+// admitCb serves a stalled request once its stall has elapsed.
+func admitCb(now sim.Time, arg any) {
+	s := arg.(*stalled)
+	n, write, file, unit, offset, length, done := s.n, s.write, s.file, s.unit, s.offset, s.length, s.done
+	s.done = nil
+	n.stalls.Put(s)
+	var err error
+	if write {
+		err = n.writeNow(file, unit, offset, length, done)
+	} else {
+		err = n.readNow(file, unit, offset, length, done)
+	}
+	if err != nil {
+		done(now, false) // validated config: unreachable raidMap error
+	}
 }
 
 // prefetch runs the per-file stride detector and fetches ahead on a match.
@@ -494,22 +637,9 @@ func (n *Node) prefetch(file int, unit int64) {
 				if _, busy := n.inflight[key]; busy {
 					continue
 				}
-				n.inflight[key] = nil
 				n.stats.PrefetchIssued++
 				n.pr.Emit(probe.KindPrefetch, int32(n.ID), int64(n.eng.Now()), next)
-				if err := n.fetchUnit(file, next, func(now sim.Time, ok bool) {
-					waiters := n.inflight[key]
-					delete(n.inflight, key)
-					if ok {
-						n.cache.Put(key, n.cfg.UnitBytes)
-					} else {
-						n.stats.FailedUnits++
-					}
-					for _, w := range waiters {
-						w(now, ok)
-					}
-				}); err != nil {
-					delete(n.inflight, key)
+				if n.fetch(file, next, key, nil) != nil {
 					break
 				}
 			}

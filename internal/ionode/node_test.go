@@ -21,6 +21,12 @@ func testNode(t *testing.T, mutate func(*Config)) (*sim.Engine, *Node) {
 	return eng, n
 }
 
+// mapIOs is raidMap with the member operations as a slice.
+func mapIOs(level RAIDLevel, members int, unit, offset, length int64, write bool, sectorSize, unitBytes int64) ([]diskIO, error) {
+	ios, n, err := raidMap(level, members, unit, offset, length, write, sectorSize, unitBytes)
+	return ios[:n], err
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -61,14 +67,14 @@ func TestParseRAID(t *testing.T) {
 
 func TestRAID5MappingReadAndWrite(t *testing.T) {
 	// 3 members: row 0 parity on disk 0, data units on disks 1, 2.
-	read, err := raidMap(RAID5, 3, 0, 0, 100, false, 512, 64<<10)
+	read, err := mapIOs(RAID5, 3, 0, 0, 100, false, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(read) != 1 || read[0].disk != 1 || read[0].write {
 		t.Fatalf("read mapping = %+v", read)
 	}
-	write, err := raidMap(RAID5, 3, 1, 0, 100, true, 512, 64<<10)
+	write, err := mapIOs(RAID5, 3, 1, 0, 100, true, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +85,14 @@ func TestRAID5MappingReadAndWrite(t *testing.T) {
 		t.Fatalf("write mapping = %+v", write)
 	}
 	// Row 1 (units 2,3): parity rotates to disk 1.
-	w2, _ := raidMap(RAID5, 3, 2, 0, 100, true, 512, 64<<10)
+	w2, _ := mapIOs(RAID5, 3, 2, 0, 100, true, 512, 64<<10)
 	if w2[1].disk != 1 {
 		t.Fatalf("rotating parity: row 1 parity on %d, want 1", w2[1].disk)
 	}
 }
 
 func TestRAID10MappingMirrorsWrites(t *testing.T) {
-	w, err := raidMap(RAID10, 4, 0, 0, 100, true, 512, 64<<10)
+	w, err := mapIOs(RAID10, 4, 0, 0, 100, true, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +101,15 @@ func TestRAID10MappingMirrorsWrites(t *testing.T) {
 	}
 	// Reads alternate mirrors across rows of the same pair. Pair count = 2,
 	// so units 0, 4, 8 are rows 0, 2, 4 of pair 0... unit = pair + row*pairs.
-	r0, _ := raidMap(RAID10, 4, 0, 0, 100, false, 512, 64<<10)
-	r1, _ := raidMap(RAID10, 4, 2, 0, 100, false, 512, 64<<10) // pair 0, row 1
+	r0, _ := mapIOs(RAID10, 4, 0, 0, 100, false, 512, 64<<10)
+	r1, _ := mapIOs(RAID10, 4, 2, 0, 100, false, 512, 64<<10) // pair 0, row 1
 	if r0[0].disk == r1[0].disk {
 		t.Fatalf("RAID10 reads did not alternate mirrors: %d vs %d", r0[0].disk, r1[0].disk)
 	}
 }
 
 func TestRAID0SingleOp(t *testing.T) {
-	ios, err := raidMap(RAID0, 4, 7, 1024, 512, false, 512, 64<<10)
+	ios, err := mapIOs(RAID0, 4, 7, 1024, 512, false, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestPropertyRAID5RowDisjoint(t *testing.T) {
 		used := map[int]bool{}
 		for k := int64(0); k < dataPerRow; k++ {
 			unit := row*dataPerRow + k
-			ios, err := raidMap(RAID5, members, unit, 0, 64<<10, true, 512, 64<<10)
+			ios, err := mapIOs(RAID5, members, unit, 0, 64<<10, true, 512, 64<<10)
 			if err != nil || len(ios) != 2 {
 				return false
 			}

@@ -12,6 +12,7 @@ import (
 	"sdds/internal/fault"
 	"sdds/internal/ionode"
 	"sdds/internal/netsim"
+	"sdds/internal/pool"
 	"sdds/internal/probe"
 	"sdds/internal/sim"
 	"sdds/internal/stripe"
@@ -42,6 +43,10 @@ type Middleware struct {
 	retries      int64 // chunk re-reads/re-writes after a failed node call
 	failedReads  int64 // chunks whose reads failed even after MaxRetries
 	failedWrites int64 // chunks whose writes failed even after MaxRetries
+
+	// calls and chunks recycle the per-call and per-chunk request state.
+	calls  *pool.Pool[call]
+	chunks *pool.Pool[chunk]
 }
 
 // New wires the middleware. The node slice length must equal the layout's
@@ -53,7 +58,7 @@ func New(eng *sim.Engine, layout stripe.Layout, nodes []*ionode.Node, net *netsi
 	if len(nodes) != layout.NumNodes {
 		return nil, fmt.Errorf("mpiio: %d nodes for a %d-node layout", len(nodes), layout.NumNodes)
 	}
-	return &Middleware{
+	m := &Middleware{
 		eng:    eng,
 		layout: layout,
 		nodes:  nodes,
@@ -61,7 +66,10 @@ func New(eng *sim.Engine, layout stripe.Layout, nodes []*ionode.Node, net *netsi
 		files:  make(map[int]FileInfo),
 		flt:    eng.Faults(),
 		pr:     eng.Probe(),
-	}, nil
+	}
+	m.calls = pool.New(m.newCall)
+	m.chunks = pool.New(m.newChunk)
+	return m, nil
 }
 
 // Open registers a file (MPI_File_open). Re-opening the same id is allowed
@@ -111,42 +119,7 @@ func (m *Middleware) Read(file int, offset, length int64, done func(now sim.Time
 		return fmt.Errorf("mpiio: read length %d must be positive", length) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	m.reads++
-	return m.forEachChunk(file, offset, length, func(c stripe.Chunk, chunkDone func(sim.Time, bool), chunkOK func(sim.Time)) error {
-		node := m.nodes[c.Node]
-		attempts := 0
-		var onRead func(now sim.Time, ok bool)
-		issue := func() error {
-			return node.Read(file, c.Unit, c.Offset, c.Length, onRead)
-		}
-		onRead = func(now sim.Time, ok bool) {
-			if !ok && attempts < m.flt.MaxRetries() {
-				attempts++
-				m.retries++
-				m.pr.Emit(probe.KindRetry, int32(c.Node), int64(now), int64(attempts))
-				backoff := sim.Duration(m.flt.RetryLatencyUS()) << (attempts - 1)
-				//sddsvet:ignore hotalloc -- fault path: one re-read closure per failed chunk
-				m.eng.ScheduleFunc(backoff, "mpiio.read-retry", func(at sim.Time) {
-					if issue() != nil {
-						chunkDone(at, false) // validated config: unreachable
-					}
-				})
-				return
-			}
-			if !ok {
-				m.failedReads++
-				chunkDone(now, false)
-				return
-			}
-			// Ship the chunk back to the client.
-			if err := m.net.Transfer(c.Node, c.Length, chunkOK); err != nil {
-				// Transfer setup errors are programming errors; complete
-				// the chunk so callers don't hang.
-				//sddsvet:ignore hotalloc -- error path: completes the chunk on a setup bug
-				m.eng.ScheduleFunc(0, "mpiio.read-err", func(at sim.Time) { chunkDone(at, false) })
-			}
-		}
-		return issue()
-	}, done)
+	return m.start(false, file, offset, length, done)
 }
 
 // Write stores [offset, offset+length) of file: data moves to each node
@@ -157,39 +130,7 @@ func (m *Middleware) Write(file int, offset, length int64, done func(now sim.Tim
 		return fmt.Errorf("mpiio: write length %d must be positive", length) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	m.writes++
-	return m.forEachChunk(file, offset, length, func(c stripe.Chunk, chunkDone func(sim.Time, bool), chunkOK func(sim.Time)) error {
-		node := m.nodes[c.Node]
-		attempts := 0
-		var onWrite func(now sim.Time, ok bool)
-		issue := func() error {
-			return node.Write(file, c.Unit, c.Offset, c.Length, onWrite)
-		}
-		onWrite = func(now sim.Time, ok bool) {
-			if !ok && attempts < m.flt.MaxRetries() {
-				attempts++
-				m.retries++
-				m.pr.Emit(probe.KindRetry, int32(c.Node), int64(now), int64(attempts))
-				backoff := sim.Duration(m.flt.RetryLatencyUS()) << (attempts - 1)
-				//sddsvet:ignore hotalloc -- fault path: one re-write closure per failed chunk
-				m.eng.ScheduleFunc(backoff, "mpiio.write-retry", func(at sim.Time) {
-					if issue() != nil {
-						chunkDone(at, false) // validated config: unreachable
-					}
-				})
-				return
-			}
-			if !ok {
-				m.failedWrites++
-			}
-			chunkDone(now, ok)
-		}
-		return m.net.Transfer(c.Node, c.Length, func(sim.Time) {
-			if issue() != nil {
-				//sddsvet:ignore hotalloc -- error path: completes the chunk on a setup bug
-				m.eng.ScheduleFunc(0, "mpiio.write-err", func(at sim.Time) { chunkDone(at, false) })
-			}
-		})
-	}, done)
+	return m.start(true, file, offset, length, done)
 }
 
 // SignatureFor returns the I/O-node signature of a byte range of a file
@@ -198,36 +139,166 @@ func (m *Middleware) SignatureFor(file int, offset, length int64) stripe.Signatu
 	return m.layout.SignatureFor(m.wrap(file, offset), length)
 }
 
-// forEachChunk splits the range, dispatches fn per chunk and calls done
-// when all chunks complete, with ok = every chunk succeeded. fn receives
-// both the ok-carrying completion (chunkDone) and a success-only adapter
-// (chunkOK) it can hand to callbacks that cannot fail, e.g. the network
-// delivery, without allocating a wrapper per chunk.
-func (m *Middleware) forEachChunk(file int, offset, length int64, fn func(stripe.Chunk, func(sim.Time, bool), func(sim.Time)) error, done func(now sim.Time, ok bool)) error {
+// call is one Read or Write in flight: done fires with allOK once the last
+// of its remaining chunks completes, and the call returns to its pool.
+type call struct {
+	remaining int
+	allOK     bool
+	done      func(now sim.Time, ok bool)
+}
+
+// chunk is one stripe-unit piece of a call. Its handlers are bound once,
+// when the pool allocates it; it keeps its attempt count across retries
+// and returns to the pool only when its last completion has fired.
+type chunk struct {
+	m     *Middleware
+	call  *call
+	write bool
+	file  int
+	stripe.Chunk
+	attempts int
+
+	onNodeFn      func(now sim.Time, ok bool) // node read/write completion
+	onDeliveredFn func(now sim.Time)          // network delivery
+}
+
+// newCall grows the call pool.
+func (m *Middleware) newCall() *call {
+	return &call{} //sddsvet:ignore hotalloc -- pool growth: one per concurrently in-flight call
+}
+
+// newChunk grows the chunk pool, binding the chunk's handlers.
+func (m *Middleware) newChunk() *chunk {
+	ch := &chunk{m: m} //sddsvet:ignore hotalloc -- pool growth: one per concurrently in-flight chunk
+	ch.onNodeFn = ch.onNode
+	ch.onDeliveredFn = ch.onDelivered
+	return ch
+}
+
+// start splits the range into stripe-unit chunks, computed in place, and
+// dispatches each: a read asks the node first, a write ships the data to
+// the node first. done fires when all chunks complete, with ok = every
+// chunk succeeded. A dispatch error (a setup bug on a validated config)
+// is returned and done never fires.
+func (m *Middleware) start(write bool, file int, offset, length int64, done func(now sim.Time, ok bool)) error {
 	offset = m.wrap(file, offset)
-	chunks := m.layout.Chunks(offset, length)
-	if len(chunks) == 0 {
-		return fmt.Errorf("mpiio: empty chunk set for off=%d len=%d", offset, length)
+	first, last := m.layout.Span(offset, length)
+	if last < first {
+		return fmt.Errorf("mpiio: empty chunk set for off=%d len=%d", offset, length) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
-	remaining := len(chunks)
-	allOK := true
-	chunkDone := func(now sim.Time, ok bool) {
-		if !ok {
-			allOK = false
+	c := m.calls.Get()
+	c.remaining = int(last - first + 1)
+	c.allOK = true
+	c.done = done
+	for u := first; u <= last; u++ {
+		ch := m.chunks.Get()
+		ch.call, ch.write, ch.file, ch.attempts = c, write, file, 0
+		ch.Chunk = m.layout.ChunkOf(offset, length, u)
+		var err error
+		if ch.Node < 0 || ch.Node >= len(m.nodes) {
+			err = fmt.Errorf("mpiio: chunk mapped to invalid node %d", ch.Node) //sddsvet:ignore hotalloc -- error path: a setup bug on a validated layout
+		} else if write {
+			err = m.net.Transfer(ch.Node, ch.Length, ch.onDeliveredFn)
+		} else {
+			err = ch.issue()
 		}
-		remaining--
-		if remaining == 0 && done != nil {
-			done(now, allOK)
-		}
-	}
-	chunkOK := func(now sim.Time) { chunkDone(now, true) }
-	for _, c := range chunks {
-		if c.Node < 0 || c.Node >= len(m.nodes) {
-			return fmt.Errorf("mpiio: chunk mapped to invalid node %d", c.Node)
-		}
-		if err := fn(c, chunkDone, chunkOK); err != nil {
+		if err != nil {
+			// Abandon this and the undispatched chunks; chunks already in
+			// flight still complete and release the call, silently.
+			m.chunks.Put(ch)
+			c.done = nil
+			c.remaining -= int(last - u + 1)
+			if c.remaining == 0 {
+				m.calls.Put(c)
+			}
 			return err
 		}
 	}
 	return nil
+}
+
+// issue sends the chunk to its I/O node.
+func (ch *chunk) issue() error {
+	n := ch.m.nodes[ch.Node]
+	if ch.write {
+		return n.Write(ch.file, ch.Unit, ch.Offset, ch.Length, ch.onNodeFn)
+	}
+	return n.Read(ch.file, ch.Unit, ch.Offset, ch.Length, ch.onNodeFn)
+}
+
+// onNode completes the node read or write. A failure is retried with
+// exponential backoff up to MaxRetries; a successful read ships the chunk
+// back to the client.
+func (ch *chunk) onNode(now sim.Time, ok bool) {
+	m := ch.m
+	if !ok && ch.attempts < m.flt.MaxRetries() {
+		ch.attempts++
+		m.retries++
+		m.pr.Emit(probe.KindRetry, int32(ch.Node), int64(now), int64(ch.attempts))
+		backoff := sim.Duration(m.flt.RetryLatencyUS()) << (ch.attempts - 1)
+		label := "mpiio.read-retry"
+		if ch.write {
+			label = "mpiio.write-retry"
+		}
+		m.eng.ScheduleArg(backoff, label, retryCb, ch)
+		return
+	}
+	switch {
+	case !ok && ch.write:
+		m.failedWrites++
+		ch.finish(now, false)
+	case !ok:
+		m.failedReads++
+		ch.finish(now, false)
+	case ch.write:
+		ch.finish(now, true)
+	default:
+		if err := m.net.Transfer(ch.Node, ch.Length, ch.onDeliveredFn); err != nil {
+			// Transfer setup errors are programming errors; complete the
+			// chunk so callers don't hang.
+			m.eng.ScheduleArg(0, "mpiio.read-err", failCb, ch)
+		}
+	}
+}
+
+// onDelivered completes the network leg: a read's data reached the
+// client, or a write's data reached the node, which now writes it.
+func (ch *chunk) onDelivered(now sim.Time) {
+	if !ch.write {
+		ch.finish(now, true)
+		return
+	}
+	if ch.issue() != nil {
+		ch.m.eng.ScheduleArg(0, "mpiio.write-err", failCb, ch)
+	}
+}
+
+// retryCb re-issues a chunk after its backoff.
+func retryCb(at sim.Time, arg any) {
+	ch := arg.(*chunk)
+	if ch.issue() != nil {
+		ch.finish(at, false) // validated config: unreachable
+	}
+}
+
+// failCb completes a chunk that hit a setup error.
+func failCb(at sim.Time, arg any) { arg.(*chunk).finish(at, false) }
+
+// finish releases the chunk and counts it against its call, completing
+// the call with the last chunk.
+func (ch *chunk) finish(now sim.Time, ok bool) {
+	m, c := ch.m, ch.call
+	m.chunks.Put(ch)
+	if !ok {
+		c.allOK = false
+	}
+	c.remaining--
+	if c.remaining > 0 {
+		return
+	}
+	done, allOK := c.done, c.allOK
+	m.calls.Put(c)
+	if done != nil {
+		done(now, allOK)
+	}
 }

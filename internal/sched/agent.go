@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"sdds/internal/core"
+	"sdds/internal/pool"
 	"sdds/internal/sim"
 )
 
@@ -49,6 +50,18 @@ type Agent struct {
 
 	issued, skippedFull, deferredWriter int64
 	fetchAborts                         int64
+
+	// fetches recycles the per-prefetch completion records.
+	fetches *pool.Pool[fetch]
+}
+
+// fetch is one prefetch in flight; doneFn is its completion, bound once
+// when the pool allocates the record, so issuing a prefetch allocates
+// nothing. The record returns to the pool when the completion fires.
+type fetch struct {
+	a      *Agent
+	id     int
+	doneFn func(now sim.Time, ok bool)
 }
 
 // NewAgent builds the agent for proc from its full scheduling table; the
@@ -66,15 +79,40 @@ func NewAgent(proc int, table []core.Entry, resolve func(int) (AccessInfo, bool)
 		}
 	}
 	sort.SliceStable(moved, func(i, j int) bool { return moved[i].Slot < moved[j].Slot })
-	return &Agent{
+	a := &Agent{
 		proc:    proc,
 		table:   moved,
 		resolve: resolve,
 		fetcher: fetcher,
 		buf:     buf,
 		clock:   clock,
-		next:    0,
-	}, nil
+	}
+	a.fetches = pool.New(a.newFetch)
+	return a, nil
+}
+
+// newFetch grows the fetch pool.
+func (a *Agent) newFetch() *fetch {
+	f := &fetch{a: a} //sddsvet:ignore hotalloc -- pool growth: one record per concurrently in-flight prefetch
+	f.doneFn = f.done
+	return f
+}
+
+// done completes a prefetch. A failed fetch (every bounded retry
+// exhausted) releases the reservation and wakes any waiting reader as a
+// miss — it falls back to an on-demand read. Producer local-time ordering
+// is untouched: the entry simply behaves as if it was never prefetched. A
+// Commit that finds the entry gone means the read bypassed the prefetch
+// and TryConsume already released the space.
+func (f *fetch) done(_ sim.Time, ok bool) {
+	a, id := f.a, f.id
+	a.fetches.Put(f)
+	if !ok {
+		a.fetchAborts++
+		a.buf.Abort(id)
+		return
+	}
+	a.buf.Commit(id)
 }
 
 // Stats returns prefetch counters: issued fetches, skips due to a full
@@ -146,25 +184,11 @@ func (a *Agent) Pump(now sim.Time) {
 			a.skippedFull++
 			return // buffer full: stop fetching until space frees
 		}
-		id := e.AccessID
-		if err := a.fetcher.Fetch(info.File, info.Offset, info.Length, func(now sim.Time, ok bool) {
-			if !ok {
-				// The prefetch failed after every bounded retry: release
-				// the reservation and wake any waiting reader as a miss —
-				// it falls back to an on-demand read. Producer local-time
-				// ordering is untouched: the entry simply behaves as if it
-				// was never prefetched.
-				a.fetchAborts++
-				a.buf.Abort(id)
-				return
-			}
-			if !a.buf.Commit(id) {
-				// The read bypassed us; space was already released by
-				// TryConsume. Nothing further to do.
-				_ = id
-			}
-		}); err != nil {
-			a.buf.Abort(id)
+		f := a.fetches.Get()
+		f.id = e.AccessID
+		if err := a.fetcher.Fetch(info.File, info.Offset, info.Length, f.doneFn); err != nil {
+			a.fetches.Put(f)
+			a.buf.Abort(e.AccessID)
 			a.next++
 			continue
 		}

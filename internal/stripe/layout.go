@@ -49,32 +49,41 @@ type Chunk struct {
 	Length int64
 }
 
+// Span returns the first and last stripe units the byte range
+// [offset, offset+length) touches; last < first when the range is empty
+// (non-positive length or negative offset).
+func (l Layout) Span(offset, length int64) (first, last int64) {
+	if length <= 0 || offset < 0 {
+		return 0, -1
+	}
+	return l.UnitOf(offset), l.UnitOf(offset + length - 1)
+}
+
+// ChunkOf returns the piece of [offset, offset+length) that lies in stripe
+// unit u, one of the units Span reports. Walking u over the span yields the
+// chunks in file order without materialising them.
+func (l Layout) ChunkOf(offset, length, u int64) Chunk {
+	start := u * l.StripeSize
+	lo := max(offset, start)
+	hi := min(offset+length, start+l.StripeSize)
+	return Chunk{
+		Node:   l.NodeOf(u),
+		Unit:   u,
+		Offset: lo - start,
+		Length: hi - lo,
+	}
+}
+
 // Chunks splits the byte range [offset, offset+length) into per-stripe-unit
 // chunks in file order. A non-positive length yields nil.
 func (l Layout) Chunks(offset, length int64) []Chunk {
-	if length <= 0 || offset < 0 {
+	first, last := l.Span(offset, length)
+	if last < first {
 		return nil
 	}
-	first := l.UnitOf(offset)
-	last := l.UnitOf(offset + length - 1)
 	out := make([]Chunk, 0, last-first+1)
 	for u := first; u <= last; u++ {
-		start := u * l.StripeSize
-		end := start + l.StripeSize
-		lo := offset
-		if start > lo {
-			lo = start
-		}
-		hi := offset + length
-		if end < hi {
-			hi = end
-		}
-		out = append(out, Chunk{
-			Node:   l.NodeOf(u),
-			Unit:   u,
-			Offset: lo - start,
-			Length: hi - lo,
-		})
+		out = append(out, l.ChunkOf(offset, length, u))
 	}
 	return out
 }
@@ -84,11 +93,10 @@ func (l Layout) Chunks(offset, length int64) []Chunk {
 // (§IV-B).
 func (l Layout) SignatureFor(offset, length int64) Signature {
 	s := NewSignature(l.NumNodes)
-	if length <= 0 || offset < 0 {
+	first, last := l.Span(offset, length)
+	if last < first {
 		return s
 	}
-	first := l.UnitOf(offset)
-	last := l.UnitOf(offset + length - 1)
 	if last-first+1 >= int64(l.NumNodes) {
 		// The range wraps the whole ring.
 		for i := 0; i < l.NumNodes; i++ {

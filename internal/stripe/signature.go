@@ -112,13 +112,18 @@ func (s Signature) Equal(o Signature) bool {
 
 // Nodes returns the indices of the used nodes in ascending order.
 func (s Signature) Nodes() []int {
-	out := make([]int, 0, s.Count())
+	return s.AppendNodes(make([]int, 0, s.Count()))
+}
+
+// AppendNodes appends the indices of the used nodes to dst in ascending
+// order, so a caller reusing dst lists nodes without allocating.
+func (s Signature) AppendNodes(dst []int) []int {
 	for i := 0; i < s.n; i++ {
 		if s.Get(i) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // Similarity returns the number of positions where both signatures have a 1
