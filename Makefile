@@ -5,12 +5,12 @@ GO ?= go
 # sandboxes, air-gapped machines) skip it with a notice instead of failing.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci lint vet sddsvet staticcheck build test race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench bench-check
+.PHONY: ci lint vet sddsvet staticcheck build test race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench bench-check bench-module
 
 # CI runs the lint tier strictly: silently skipping a linter there would
 # let findings land unreviewed.
 ci: LINT_STRICT = 1
-ci: lint build race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench-check
+ci: lint build bench-module race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench-check
 
 # Fast static tier: runs in seconds, ahead of the (90-minute) race tier.
 # LINT_STRICT=1 turns the offline staticcheck skip into a hard failure.
@@ -44,6 +44,13 @@ staticcheck:
 
 build:
 	$(GO) build ./...
+
+# The end-to-end benchmark (bench/) is its own module, so `go build ./...`
+# never compiles it: vet and test it explicitly, so a harness change that
+# breaks it fails here rather than at the next benchmark run. Offline-safe
+# (the module depends only on this one, through a replace directive).
+bench-module:
+	$(GO) -C bench vet . && $(GO) -C bench test .
 
 test:
 	$(GO) test ./...

@@ -4,12 +4,12 @@
 // the embedded Chrome trace with the shared probe validator, confirms the
 // captured request is strictly replayable, and prints a triage summary.
 //
-// An argument that is a regular file but not a bundle archive (.tar.gz) is
-// a Chrome trace-event file — the output of `sddsim -trace` or `sddstables
+// An argument that is a regular file rather than a bundle directory is a
+// Chrome trace-event file — the output of `sddsim -trace` or `sddstables
 // -trace` — and is checked on its own with the same validator, so the
 // bytes a user would load into chrome://tracing are verified too.
 //
-//	sddsdiag bundle-3f2a9c81d4e0           # triage one bundle (dir or .tar.gz)
+//	sddsdiag bundle-3f2a9c81d4e0           # triage one bundle directory
 //	sddsdiag -dir capture/                 # list a capture directory
 //	sddsdiag -dir capture/ 3f2a           # resolve an ID prefix, then triage
 //	sddsdiag trace.json                    # validate a Chrome trace
@@ -62,7 +62,7 @@ func run(args []string) error {
 			return err
 		}
 		check := triage
-		if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() && !strings.HasSuffix(path, ".tar.gz") {
+		if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
 			check = checkTraceFile
 		}
 		ok, err := check(path)

@@ -83,7 +83,7 @@ func TestUnknownBundle(t *testing.T) {
 }
 
 // TestTraceFileEndToEnd drives the standalone-trace path: a regular file
-// that is not a bundle archive is validated as a Chrome trace.
+// (a bundle is always a directory) is validated as a Chrome trace.
 func TestTraceFileEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	p := probe.NewSpanProbe()

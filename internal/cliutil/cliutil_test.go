@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -112,5 +113,56 @@ func TestSweepFlagsConfigValidates(t *testing.T) {
 	}
 	if len(cfg.Apps) != 2 || cfg.Apps[0] != "sar" || cfg.Apps[1] != "hf" {
 		t.Fatalf("apps = %v", cfg.Apps)
+	}
+}
+
+// TestScaleMustBeFinite pins the one scale check behind every entry
+// point: a NaN or infinite scale is rejected by Request.Normalize, by
+// harness.Config.Validate and by both flag paths, while zero (the
+// default) and ordinary positive scales pass.
+func TestScaleMustBeFinite(t *testing.T) {
+	cases := []struct {
+		scale string
+		ok    bool
+	}{
+		{"0", true},
+		{"0.05", true},
+		{"1", true},
+		{"-1", false},
+		{"NaN", false},
+		{"+Inf", false},
+		{"-Inf", false},
+		{"Infinity", false},
+	}
+	for _, tc := range cases {
+		scale, err := strconv.ParseFloat(tc.scale, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(path string, err error) {
+			t.Helper()
+			if tc.ok && err != nil {
+				t.Errorf("scale %s via %s: %v", tc.scale, path, err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "scale")) {
+				t.Errorf("scale %s via %s: err = %v, want a scale error", tc.scale, path, err)
+			}
+		}
+		_, err = harness.Request{App: "sar", Scale: scale}.Normalize()
+		check("Request.Normalize", err)
+		check("Config.Validate", harness.Config{Scale: scale}.Validate())
+
+		rf := parseRun(t, "-app", "sar", "-scale", tc.scale)
+		_, err = rf.Request()
+		check("RunFlags.Request", err)
+
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		var sf SweepFlags
+		sf.Register(fs)
+		if err := fs.Parse([]string{"-scale", tc.scale}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = sf.Config()
+		check("SweepFlags.Config", err)
 	}
 }

@@ -3,8 +3,8 @@
 // bundle for any run or sweep — the failing or slow run's canonical
 // request (for exact reproduction), the probe flight-recorder dump as a
 // Chrome trace, the metrics registry snapshot, the journal tail, fault
-// and compile-cache statistics, pprof profiles, and build info — under a
-// MANIFEST.json carrying an integrity hash per file.
+// and compile-cache statistics, heap and goroutine profiles, and build
+// info — under a MANIFEST.json carrying an integrity hash per file.
 //
 // Capture is triggered automatically by the harness session (run error,
 // per-run timeout, worker panic, slow-run watchdog) and on demand by the
@@ -15,9 +15,9 @@
 // values (requests, fault stats, journal tails) as opaque JSON payloads.
 //
 // A bundle is a directory named bundle-<id> (id = the first 12 hex digits
-// of the SHA-256 over the sorted per-file hashes), optionally mirrored as
-// bundle-<id>.tar.gz. The cmd/sddsdiag inspector validates bundles and
-// prints a triage summary; Validate is the shared half of that.
+// of the SHA-256 over the sorted per-file hashes). The cmd/sddsdiag
+// inspector validates bundles and prints a triage summary; Validate is the
+// shared half of that.
 package diag
 
 import (
@@ -61,16 +61,9 @@ type Options struct {
 	// Dir is the capture directory; bundles are created inside it. It is
 	// created (with parents) if missing. Required.
 	Dir string
-	// TarGz additionally mirrors every captured bundle as
-	// bundle-<id>.tar.gz next to the bundle directory.
-	TarGz bool
 	// MaxBundles bounds retention: after each capture, the oldest bundles
 	// beyond this count are deleted. ≤0 means the default (32).
 	MaxBundles int
-	// CPUProfile, when positive, records a CPU profile of that duration
-	// into each bundle. Off by default: capture should be cheap, and a
-	// post-hoc CPU profile mostly samples the capture itself.
-	CPUProfile time.Duration
 	// SlowMultiplier arms the slow-run watchdog: a run slower than
 	// multiplier × the rolling median of recent runs triggers a capture.
 	// ≤0 leaves the watchdog disarmed.
@@ -211,7 +204,6 @@ type Manifest struct {
 type BundleInfo struct {
 	ID       string   `json:"id"`
 	Path     string   `json:"path"`
-	Archive  string   `json:"archive,omitempty"`
 	Manifest Manifest `json:"manifest"`
 }
 
@@ -346,8 +338,12 @@ func (r *Recorder) capture(c Capture) (*BundleInfo, error) {
 			return nil, err
 		}
 	}
-	if err := r.addProfiles(add); err != nil {
-		return nil, err
+	for _, name := range []string{"heap", "goroutine"} {
+		if err := add(name+".pprof", func(w io.Writer) error {
+			return pprof.Lookup(name).WriteTo(w, 0)
+		}); err != nil {
+			return nil, err
+		}
 	}
 	if err := add("buildinfo.txt", func(w io.Writer) error {
 		if bi, ok := debug.ReadBuildInfo(); ok {
@@ -399,45 +395,10 @@ func (r *Recorder) capture(c Capture) (*BundleInfo, error) {
 	} else if err := os.Rename(tmp, final); err != nil {
 		return nil, fmt.Errorf("diag: %w", err)
 	}
-	if r.opts.TarGz {
-		arch := final + ".tar.gz"
-		if err := writeTarGz(arch, final, info.Manifest); err != nil {
-			return nil, err
-		}
-		info.Archive = arch
-	}
 	if err := r.prune(); err != nil {
 		return nil, err
 	}
 	return info, nil
-}
-
-// addProfiles records the pprof evidence: heap and goroutine always, CPU
-// only when the recorder is configured with a sampling window.
-func (r *Recorder) addProfiles(add func(string, func(io.Writer) error) error) error {
-	if err := add("heap.pprof", func(w io.Writer) error {
-		return pprof.Lookup("heap").WriteTo(w, 0)
-	}); err != nil {
-		return err
-	}
-	if err := add("goroutine.pprof", func(w io.Writer) error {
-		return pprof.Lookup("goroutine").WriteTo(w, 0)
-	}); err != nil {
-		return err
-	}
-	if r.opts.CPUProfile <= 0 {
-		return nil
-	}
-	// Only one CPU profile can run per process; if another capture (or
-	// the host binary) holds it, skip quietly rather than fail the bundle.
-	return add("cpu.pprof", func(w io.Writer) error {
-		if err := pprof.StartCPUProfile(w); err != nil {
-			return nil
-		}
-		time.Sleep(r.opts.CPUProfile) //sddsvet:ignore detflow -- deliberate wall-clock sampling window for the CPU profile
-		pprof.StopCPUProfile()
-		return nil
-	})
 }
 
 // prune deletes the oldest bundles beyond the retention bound.
@@ -451,7 +412,6 @@ func (r *Recorder) prune() error {
 		if err := os.RemoveAll(b.Path); err != nil {
 			return fmt.Errorf("diag: prune: %w", err)
 		}
-		os.Remove(b.Path + ".tar.gz") // best-effort: the mirror may not exist
 	}
 	return nil
 }
@@ -509,11 +469,7 @@ func ListDir(dir string) ([]BundleInfo, error) {
 		if err != nil {
 			continue
 		}
-		info := BundleInfo{ID: man.ID, Path: path, Manifest: man}
-		if _, err := os.Stat(path + ".tar.gz"); err == nil {
-			info.Archive = path + ".tar.gz"
-		}
-		out = append(out, info)
+		out = append(out, BundleInfo{ID: man.ID, Path: path, Manifest: man})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Manifest.CreatedUnixMS != out[j].Manifest.CreatedUnixMS {

@@ -38,7 +38,7 @@ func fullCapture(trigger string) Capture {
 // its manifest, whose ID matches its content, and Validate agrees.
 func TestCaptureAndValidate(t *testing.T) {
 	dir := t.TempDir()
-	r, err := NewRecorder(Options{Dir: dir, TarGz: true})
+	r, err := NewRecorder(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +59,18 @@ func TestCaptureAndValidate(t *testing.T) {
 		}
 	}
 	if _, err := os.Stat(filepath.Join(info.Path, "cpu.pprof")); err == nil {
-		t.Error("cpu.pprof present without CPUProfile configured")
+		t.Error("cpu.pprof present; bundles carry no CPU profile")
 	}
 
-	for _, path := range []string{info.Path, info.Archive} {
-		rep, err := Validate(path)
-		if err != nil {
-			t.Fatalf("Validate(%s): %v", path, err)
-		}
-		if !rep.OK() {
-			t.Errorf("Validate(%s) problems: %v", path, rep.Problems)
-		}
-		if rep.Manifest.ID != info.ID {
-			t.Errorf("Validate(%s) id = %s, want %s", path, rep.Manifest.ID, info.ID)
-		}
+	rep, err := Validate(info.Path)
+	if err != nil {
+		t.Fatalf("Validate(%s): %v", info.Path, err)
+	}
+	if !rep.OK() {
+		t.Errorf("Validate(%s) problems: %v", info.Path, rep.Problems)
+	}
+	if rep.Manifest.ID != info.ID {
+		t.Errorf("Validate(%s) id = %s, want %s", info.Path, rep.Manifest.ID, info.ID)
 	}
 	if captured, failures := r.Stats(); captured != 1 || failures != 0 {
 		t.Errorf("Stats() = %d, %d", captured, failures)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Report is the result of validating one bundle: its parsed manifest, the
@@ -26,8 +25,7 @@ type Report struct {
 // OK reports whether validation found no problems.
 func (r *Report) OK() bool { return len(r.Problems) == 0 }
 
-// Validate opens a bundle — either a bundle directory or a bundle
-// .tar.gz — and checks its integrity: every manifest entry exists with
+// Validate opens a bundle directory and checks its integrity: every manifest entry exists with
 // the recorded size and SHA-256, no unlisted payload files are present,
 // and the bundle ID matches the content hash recomputed from the files.
 // Integrity violations land in Report.Problems; only failures to read or
@@ -85,17 +83,14 @@ func Validate(path string) (*Report, error) {
 	return rep, nil
 }
 
-// loadBundle reads a bundle directory or .tar.gz into memory.
+// loadBundle reads a bundle directory into memory.
 func loadBundle(path string) (map[string][]byte, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("diag: %w", err)
 	}
 	if !fi.IsDir() {
-		if strings.HasSuffix(path, ".tar.gz") || strings.HasSuffix(path, ".tgz") {
-			return readTarGz(path)
-		}
-		return nil, fmt.Errorf("diag: %s: not a bundle directory or .tar.gz", path)
+		return nil, fmt.Errorf("diag: %s: not a bundle directory", path)
 	}
 	ents, err := os.ReadDir(path)
 	if err != nil {

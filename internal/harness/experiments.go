@@ -12,7 +12,6 @@ import (
 	"sdds/internal/metrics"
 	"sdds/internal/power"
 	"sdds/internal/sim"
-	"sdds/internal/stripe"
 	"sdds/internal/workloads"
 )
 
@@ -204,14 +203,14 @@ func fig13b(ctx context.Context, s *Session, c Config) (*Result, error) {
 }
 
 // extraSavings computes the additional energy reduction the scheme brings
-// over the history-based policy alone, for one app under a tagged cluster
-// config variant. Both runs resolve through the session cache.
-func extraSavings(ctx context.Context, s *Session, c Config, app, tag string, mutate func(*cluster.Config)) (float64, error) {
-	without, _, err := s.run(ctx, c, variantSpec(app, power.KindHistory, false, tag, mutate))
+// over the history-based policy alone, for one app under a cluster config
+// variant. Both runs resolve through the session cache.
+func extraSavings(ctx context.Context, s *Session, c Config, app, variant string) (float64, error) {
+	without, _, err := s.run(ctx, c.request(app, power.KindHistory, false, variant))
 	if err != nil {
 		return 0, err
 	}
-	with, _, err := s.run(ctx, c, variantSpec(app, power.KindHistory, true, tag, mutate))
+	with, _, err := s.run(ctx, c.request(app, power.KindHistory, true, variant))
 	if err != nil {
 		return 0, err
 	}
@@ -220,27 +219,26 @@ func extraSavings(ctx context.Context, s *Session, c Config, app, tag string, mu
 
 // sweepDef declares a parameter sweep once, so its run plan and its
 // rendering derive from the same table: the extra savings of the scheme
-// (over history-based) across the values, averaged over the apps.
+// (over history-based) across the values, averaged over the apps. Each
+// point is the variant "param=value" in the ParseVariant grammar, which
+// alone turns it into a cluster config.
 type sweepDef struct {
 	id, title, param string
 	values           []string
-	mutate           func(cfg *cluster.Config, vi int)
 }
 
-// tagOf canonically names one sweep point (shared across experiments:
-// fig14a and fig14b both tag "theta=N").
-func (d sweepDef) tagOf(vi int) string { return d.param + "=" + d.values[vi] }
+// variant names one sweep point (shared across experiments: fig14a and
+// fig14b both use "theta=N").
+func (d sweepDef) variant(v string) string { return d.param + "=" + v }
 
-// specs plans both scheme-off and scheme-on runs of every sweep point.
-func (d sweepDef) specs(c Config) []runSpec {
-	out := make([]runSpec, 0, 2*len(c.Apps)*len(d.values))
+// plan plans both scheme-off and scheme-on runs of every sweep point.
+func (d sweepDef) plan(c Config) []Request {
+	out := make([]Request, 0, 2*len(c.Apps)*len(d.values))
 	for _, app := range c.Apps {
-		for vi := range d.values {
-			vi := vi
-			m := func(cfg *cluster.Config) { d.mutate(cfg, vi) }
+		for _, v := range d.values {
 			out = append(out,
-				variantSpec(app, power.KindHistory, false, d.tagOf(vi), m),
-				variantSpec(app, power.KindHistory, true, d.tagOf(vi), m))
+				c.request(app, power.KindHistory, false, d.variant(v)),
+				c.request(app, power.KindHistory, true, d.variant(v)))
 		}
 	}
 	return out
@@ -253,10 +251,8 @@ func (d sweepDef) run(ctx context.Context, s *Session, c Config) (*Result, error
 	avg := make([]float64, len(d.values))
 	for _, app := range c.Apps {
 		row := []string{app}
-		for vi := range d.values {
-			vi := vi
-			sav, err := extraSavings(ctx, s, c, app, d.tagOf(vi),
-				func(cfg *cluster.Config) { d.mutate(cfg, vi) })
+		for vi, v := range d.values {
+			sav, err := extraSavings(ctx, s, c, app, d.variant(v))
 			if err != nil {
 				return nil, err
 			}
@@ -272,50 +268,33 @@ func (d sweepDef) run(ctx context.Context, s *Session, c Config) (*Result, error
 	return &Result{ID: d.id, Title: d.title, Headers: headers, Rows: rows, Notes: []string{note}}, nil
 }
 
-var fig13cNodes = []int{2, 4, 8, 16, 32}
-
 var fig13cDef = sweepDef{
 	id: "fig13c", title: "Energy reduction as the number of I/O nodes varies",
 	param: "nodes", values: []string{"2", "4", "8", "16", "32"},
-	mutate: func(cfg *cluster.Config, vi int) {
-		cfg.Layout = stripe.Layout{NumNodes: fig13cNodes[vi], StripeSize: cfg.Layout.StripeSize}
-		cfg.Net.NumNodes = fig13cNodes[vi]
-	},
 }
-
-var fig13dDeltas = []int{5, 10, 20, 40, 80}
 
 var fig13dDef = sweepDef{
 	id: "fig13d", title: "Energy reduction as the value of delta varies",
 	param: "delta", values: []string{"5", "10", "20", "40", "80"},
-	mutate: func(cfg *cluster.Config, vi int) { cfg.Compiler.Delta = fig13dDeltas[vi] },
 }
-
-var fig14aThetas = []int{2, 4, 6, 8}
 
 var fig14aDef = sweepDef{
 	id: "fig14a", title: "Energy reduction as the value of theta varies",
 	param: "theta", values: []string{"2", "4", "6", "8"},
-	mutate: func(cfg *cluster.Config, vi int) { cfg.Compiler.Theta = fig14aThetas[vi] },
 }
-
-var cacheSensCaps = []int64{32 << 20, 64 << 20, 256 << 20}
 
 var cacheSensDef = sweepDef{
 	id: "cachesens", title: "Extra energy reduction vs storage-cache capacity",
 	param: "cache", values: []string{"32MB", "64MB", "256MB"},
-	mutate: func(cfg *cluster.Config, vi int) { cfg.Node.CacheBytes = cacheSensCaps[vi] },
 }
 
-// planFig14b plans the scheme-on θ sweep points; they share tags (and thus
-// cached runs) with fig14a's sweep.
-func planFig14b(c Config) []runSpec {
-	out := make([]runSpec, 0, len(c.Apps)*len(fig14aThetas))
+// planFig14b plans the scheme-on θ sweep points; they share variants (and
+// thus cached runs) with fig14a's sweep.
+func planFig14b(c Config) []Request {
+	out := make([]Request, 0, len(c.Apps)*len(fig14aDef.values))
 	for _, app := range c.Apps {
-		for vi := range fig14aDef.values {
-			vi := vi
-			out = append(out, variantSpec(app, power.KindHistory, true, fig14aDef.tagOf(vi),
-				func(cfg *cluster.Config) { fig14aDef.mutate(cfg, vi) }))
+		for _, v := range fig14aDef.values {
+			out = append(out, c.request(app, power.KindHistory, true, fig14aDef.variant(v)))
 		}
 	}
 	return out
@@ -324,17 +303,12 @@ func planFig14b(c Config) []runSpec {
 // fig14b sweeps θ for performance improvement of raising θ relative to the
 // most constrained setting (θ=2), with the scheme on.
 func fig14b(ctx context.Context, s *Session, c Config) (*Result, error) {
-	headers := []string{"App"}
-	for _, th := range fig14aThetas {
-		headers = append(headers, fmt.Sprintf("%d", th))
-	}
+	headers := append([]string{"App"}, fig14aDef.values...)
 	rows := make([][]string, 0, len(c.Apps))
 	for _, app := range c.Apps {
-		times := make([]float64, len(fig14aThetas))
-		for vi := range fig14aThetas {
-			vi := vi
-			res, _, err := s.run(ctx, c, variantSpec(app, power.KindHistory, true, fig14aDef.tagOf(vi),
-				func(cfg *cluster.Config) { fig14aDef.mutate(cfg, vi) }))
+		times := make([]float64, len(fig14aDef.values))
+		for vi, v := range fig14aDef.values {
+			res, _, err := s.run(ctx, c.request(app, power.KindHistory, true, fig14aDef.variant(v)))
 			if err != nil {
 				return nil, err
 			}
@@ -425,10 +399,10 @@ func ablations(ctx context.Context, s *Session, c Config) (*Result, error) {
 
 // planOracle plans the history-based pass of the oracle comparison (its
 // trace-recording and replay passes are stateful and run inline).
-func planOracle(c Config) []runSpec {
-	out := make([]runSpec, 0, len(c.Apps))
+func planOracle(c Config) []Request {
+	out := make([]Request, 0, len(c.Apps))
 	for _, app := range c.Apps {
-		out = append(out, defaultSpec(app, power.KindHistory, false))
+		out = append(out, c.request(app, power.KindHistory, false, ""))
 	}
 	return out
 }
@@ -437,19 +411,19 @@ func planOracle(c Config) []runSpec {
 // policy fed the true idle lengths recorded in a first pass — an upper
 // bound on what better prediction could buy (ablation beyond the paper).
 // The trace-recording and replay passes are coupled through shared state,
-// so they bypass the run cache and execute inline.
+// so they bypass the run cache and execute inline, each on the Default
+// Scheme run's cluster config (faults included) with the policy swapped.
 func oracle(ctx context.Context, s *Session, c Config) (*Result, error) {
 	headers := []string{"App", "default (J)", "history (J)", "oracle (J)", "history saving", "oracle saving"}
 	rows := make([][]string, 0, len(c.Apps))
 	for _, app := range c.Apps {
-		spec, err := workloads.ByName(app)
+		baseReq := c.request(app, power.KindDefault, false, "")
+		// Pass 1: Default Scheme, recording the gap trace.
+		prog, cfg, err := baseReq.BuildRun()
 		if err != nil {
 			return nil, err
 		}
-		// Pass 1: Default Scheme, recording the gap trace.
 		var trace *metrics.GapTrace
-		cfg := cluster.DefaultConfig()
-		cfg.Seed = c.Seed
 		var eng0 *sim.Engine // captured by the factory below
 		cfg.PolicyFactory = func(eng *sim.Engine) (power.Policy, error) {
 			if trace == nil {
@@ -459,7 +433,7 @@ func oracle(ctx context.Context, s *Session, c Config) (*Result, error) {
 			return power.New(eng, power.Config{Kind: power.KindDefault})
 		}
 		cfg.ExtraIdleRecorder = traceHolder{&trace}
-		base, err := cluster.RunContext(ctx, spec.Build(c.Scale), cfg)
+		base, err := cluster.RunContext(ctx, prog, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -469,12 +443,14 @@ func oracle(ctx context.Context, s *Session, c Config) (*Result, error) {
 			return nil, err
 		}
 		// Pass 2b: oracle replaying the recorded gaps.
-		cfgO := cluster.DefaultConfig()
-		cfgO.Seed = c.Seed
+		progO, cfgO, err := baseReq.BuildRun()
+		if err != nil {
+			return nil, err
+		}
 		cfgO.PolicyFactory = func(eng *sim.Engine) (power.Policy, error) {
 			return power.NewOracle(eng, power.Config{}, trace), nil
 		}
-		orc, err := cluster.RunContext(ctx, spec.Build(c.Scale), cfgO)
+		orc, err := cluster.RunContext(ctx, progO, cfgO)
 		if err != nil {
 			return nil, err
 		}
@@ -501,17 +477,14 @@ func (h traceHolder) RecordIdle(d *disk.Disk, gap sim.Duration) {
 	}
 }
 
-// palruMutate turns on the power-aware storage-cache replacement.
-func palruMutate(cfg *cluster.Config) { cfg.Node.PowerAwareCache = true }
-
 // planPALRU plans the LRU (default config) and PA-LRU (variant) runs under
 // the simple spin-down policy.
-func planPALRU(c Config) []runSpec {
-	out := make([]runSpec, 0, 2*len(c.Apps))
+func planPALRU(c Config) []Request {
+	out := make([]Request, 0, 2*len(c.Apps))
 	for _, app := range c.Apps {
 		out = append(out,
-			defaultSpec(app, power.KindSimple, false),
-			variantSpec(app, power.KindSimple, false, "pacache", palruMutate))
+			c.request(app, power.KindSimple, false, ""),
+			c.request(app, power.KindSimple, false, "pacache"))
 	}
 	return out
 }
@@ -528,7 +501,7 @@ func palruCache(ctx context.Context, s *Session, c Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pal, _, err := s.run(ctx, c, variantSpec(app, power.KindSimple, false, "pacache", palruMutate))
+		pal, _, err := s.run(ctx, c.request(app, power.KindSimple, false, "pacache"))
 		if err != nil {
 			return nil, err
 		}

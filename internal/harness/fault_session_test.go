@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"sdds/internal/cluster"
 	"sdds/internal/fault"
 	"sdds/internal/power"
 )
@@ -30,19 +30,22 @@ func faultyTiny() Config {
 	return c
 }
 
-// TestWorkerPanicIsolated asserts the crash-safe pool: a spec whose config
-// mutation panics fails only its own run with a stack-carrying error;
-// sibling runs on the same Prime call complete normally and land in the
-// cache.
+// TestWorkerPanicIsolated asserts the crash-safe pool: a run that panics
+// fails only its own run with a stack-carrying error; sibling runs on the
+// same session complete normally and land in the cache.
 func TestWorkerPanicIsolated(t *testing.T) {
 	s := NewSession(SessionOptions{Workers: 4})
 	c := tiny().withDefaults()
 
-	good := defaultSpec("sar", power.KindDefault, false)
-	boom := variantSpec("sar", power.KindDefault, false, "boom",
-		func(*cluster.Config) { panic("injected test panic") })
+	good := c.request("sar", power.KindDefault, false, "")
+	boom := c.request("sar", power.KindDefault, false, "theta=8")
+	s.beforeSimulate = func(req Request) {
+		if req == boom {
+			panic("injected test panic")
+		}
+	}
 
-	_, _, err := s.run(context.Background(), c, boom)
+	_, _, err := s.run(context.Background(), boom)
 	if err == nil {
 		t.Fatal("panicking run returned no error")
 	}
@@ -54,13 +57,13 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 
 	// Siblings (and the session itself) survive.
-	res, _, err := s.run(context.Background(), c, good)
+	res, _, err := s.run(context.Background(), good)
 	if err != nil || res == nil {
 		t.Fatalf("sibling run after panic: %v", err)
 	}
 	// The panic verdict is cached like any failure: a waiter sees it
 	// without re-simulating.
-	_, out, err := s.run(context.Background(), c, boom)
+	_, out, err := s.run(context.Background(), boom)
 	if err == nil || !out.hit {
 		t.Fatalf("cached panic verdict: hit=%v err=%v", out.hit, err)
 	}
@@ -73,12 +76,12 @@ func TestWorkerPanicIsolated(t *testing.T) {
 func TestRunTimeoutDeadlineExceeded(t *testing.T) {
 	s := NewSession(SessionOptions{Workers: 1, RunTimeout: time.Nanosecond})
 	c := tiny().withDefaults()
-	_, _, err := s.run(context.Background(), c, defaultSpec("sar", power.KindDefault, false))
+	_, _, err := s.run(context.Background(), c.request("sar", power.KindDefault, false, ""))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	// The deadline verdict is a property of the configuration: cached.
-	_, out, err2 := s.run(context.Background(), c, defaultSpec("sar", power.KindDefault, false))
+	_, out, err2 := s.run(context.Background(), c.request("sar", power.KindDefault, false, ""))
 	if !errors.Is(err2, context.DeadlineExceeded) || !out.hit {
 		t.Fatalf("cached deadline verdict: hit=%v err=%v", out.hit, err2)
 	}
@@ -89,7 +92,7 @@ func TestRunTimeoutDeadlineExceeded(t *testing.T) {
 
 	// A generous deadline lets the same run complete.
 	ok := NewSession(SessionOptions{Workers: 1, RunTimeout: time.Minute})
-	if _, _, err := ok.run(context.Background(), c, defaultSpec("sar", power.KindDefault, false)); err != nil {
+	if _, _, err := ok.run(context.Background(), c.request("sar", power.KindDefault, false, "")); err != nil {
 		t.Fatalf("run under generous deadline: %v", err)
 	}
 }
@@ -118,14 +121,13 @@ func TestInjectedSweepWorkerCountInvariant(t *testing.T) {
 // alias in the session cache.
 func TestFaultConfigPartOfCacheKey(t *testing.T) {
 	s := NewSession(SessionOptions{Workers: 1})
-	sp := defaultSpec("sar", power.KindDefault, false)
 	plain := tiny().withDefaults()
 	faulty := faultyTiny().withDefaults()
-	a, _, err := s.run(context.Background(), plain, sp)
+	a, _, err := s.run(context.Background(), plain.request("sar", power.KindDefault, false, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := s.run(context.Background(), faulty, sp)
+	b, _, err := s.run(context.Background(), faulty.request("sar", power.KindDefault, false, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestJournalResumeCompletesOnlyMissingRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned := len(planFor(exps, cfg.withDefaults()))
+	planned := len(PlanRequests(exps, cfg))
 	secondSimulated, _ := s2.Stats()
 	if want := int64(planned) - firstSimulated; secondSimulated != want {
 		t.Fatalf("resumed session simulated %d runs, want %d (plan %d - journaled %d)",
@@ -222,10 +224,10 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := NewSession(SessionOptions{Workers: 1, Journal: j1})
-	if _, _, err := s1.run(context.Background(), cfg.withDefaults(), defaultSpec("sar", power.KindDefault, false)); err != nil {
+	if _, _, err := s1.run(context.Background(), cfg.withDefaults().request("sar", power.KindDefault, false, "")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s1.run(context.Background(), cfg.withDefaults(), defaultSpec("madbench2", power.KindDefault, false)); err != nil {
+	if _, _, err := s1.run(context.Background(), cfg.withDefaults().request("madbench2", power.KindDefault, false, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j1.Close(); err != nil {
@@ -254,7 +256,7 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 	// Appending after resume keeps the file line-aligned: the torn bytes
 	// were truncated away.
 	s2 := NewSession(SessionOptions{Workers: 1, Journal: j2})
-	if _, _, err := s2.run(context.Background(), cfg.withDefaults(), defaultSpec("madbench2", power.KindDefault, false)); err != nil {
+	if _, _, err := s2.run(context.Background(), cfg.withDefaults().request("madbench2", power.KindDefault, false, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -293,13 +295,12 @@ func TestJournalMissingFileResumes(t *testing.T) {
 // histogram, metrics, and fault block.
 func TestJournalRoundTripPreservesResult(t *testing.T) {
 	c := faultyTiny().withDefaults()
-	sp := defaultSpec("sar", power.KindDefault, true)
+	key := c.request("sar", power.KindDefault, true, "")
 	s := NewSession(SessionOptions{Workers: 1})
-	res, _, err := s.run(context.Background(), c, sp)
+	res, _, err := s.run(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := sp.key(c)
 	rec := NewRunRecord(res)
 	buf, err := json.Marshal(storedRun{Request: key, Result: rec})
 	if err != nil {
@@ -332,5 +333,37 @@ func TestJournalRoundTripPreservesResult(t *testing.T) {
 	// FracAtMost drives the CDF figures; spot-check one bound.
 	if back.Idle.FracAtMost(500) != res.Idle.FracAtMost(500) {
 		t.Fatal("idle CDF drifted through the journal")
+	}
+}
+
+// TestOracleHonorsFaults asserts the oracle's inline passes run on the
+// same cluster config as the cached runs: under injected faults, every
+// "default (J)" cell equals the Default Scheme energy of the same Config
+// (table3's baseline) at the table's rounding.
+func TestOracleHonorsFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three cluster passes per app")
+	}
+	e, err := ByID("oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := faultyTiny().withDefaults()
+	s := NewSession(SessionOptions{})
+	res, err := s.Run(context.Background(), e, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(c.Apps) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(c.Apps))
+	}
+	for i, app := range c.Apps {
+		base, err := runOne(context.Background(), s, c, app, power.KindDefault, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Rows[i][1], fmt.Sprintf("%.0f", base.EnergyJ); got != want {
+			t.Errorf("%s: oracle default (J) = %s, Default Scheme run = %s", app, got, want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -62,8 +63,8 @@ func (c Config) withDefaults() Config {
 // names, with suggestions), or nil. The zero value is valid (defaults
 // apply).
 func (c Config) Validate() error {
-	if c.Scale < 0 {
-		return fmt.Errorf("harness: scale %v must be positive", c.Scale)
+	if err := checkScale(c.Scale); err != nil {
+		return err
 	}
 	for _, app := range c.Apps {
 		if _, err := workloads.ByName(app); err != nil {
@@ -74,6 +75,17 @@ func (c Config) Validate() error {
 		if err := c.Faults.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkScale rejects a scale that cannot size a workload: a negative one,
+// or a NaN or infinite one, which would silently run the minimum-size
+// program and, as a NaN map key, never hit the session or setup cache.
+// Zero is left to the caller, which reads it as "the default".
+func checkScale(scale float64) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("harness: scale %v must be a positive finite number", scale)
 	}
 	return nil
 }
@@ -110,13 +122,13 @@ func (r *Result) Render() string {
 
 // Experiment is a runnable paper artifact, executed by Session.Run. Its
 // run function renders the result from a Session's cache; its plan
-// function enumerates the cluster configurations the run needs, letting
-// the session execute them in parallel before rendering.
+// function enumerates the canonical Requests the run needs, letting the
+// session execute them in parallel before rendering.
 type Experiment struct {
 	ID    string
 	Title string
 	run   func(ctx context.Context, s *Session, c Config) (*Result, error)
-	plan  func(c Config) []runSpec
+	plan  func(c Config) []Request
 }
 
 // All returns every experiment in paper order.
@@ -130,11 +142,11 @@ func All() []Experiment {
 		{ID: "fig12d", Title: "Fig. 12(d): normalized energy with the scheme", run: fig12d, plan: planPolicies(true)},
 		{ID: "fig13a", Title: "Fig. 13(a): performance degradation without the scheme", run: fig13a, plan: planPolicies(false)},
 		{ID: "fig13b", Title: "Fig. 13(b): performance degradation with the scheme", run: fig13b, plan: planPolicies(true)},
-		{ID: "fig13c", Title: "Fig. 13(c): energy reduction vs number of I/O nodes", run: fig13cDef.run, plan: fig13cDef.specs},
-		{ID: "fig13d", Title: "Fig. 13(d): energy reduction vs delta", run: fig13dDef.run, plan: fig13dDef.specs},
-		{ID: "fig14a", Title: "Fig. 14(a): energy reduction vs theta", run: fig14aDef.run, plan: fig14aDef.specs},
+		{ID: "fig13c", Title: "Fig. 13(c): energy reduction vs number of I/O nodes", run: fig13cDef.run, plan: fig13cDef.plan},
+		{ID: "fig13d", Title: "Fig. 13(d): energy reduction vs delta", run: fig13dDef.run, plan: fig13dDef.plan},
+		{ID: "fig14a", Title: "Fig. 14(a): energy reduction vs theta", run: fig14aDef.run, plan: fig14aDef.plan},
 		{ID: "fig14b", Title: "Fig. 14(b): performance improvement vs theta", run: fig14b, plan: planFig14b},
-		{ID: "cachesens", Title: "Sec. V-D: storage-cache capacity sensitivity", run: cacheSensDef.run, plan: cacheSensDef.specs},
+		{ID: "cachesens", Title: "Sec. V-D: storage-cache capacity sensitivity", run: cacheSensDef.run, plan: cacheSensDef.plan},
 		{ID: "compile", Title: "Sec. V-A: compilation (scheduling pass) cost", run: compileCost},
 		{ID: "oracle", Title: "Oracle prediction upper bound (ablation)", run: oracle, plan: planOracle},
 		{ID: "palru", Title: "Power-aware storage-cache replacement (extension)", run: palruCache, plan: planPALRU},
@@ -168,10 +180,31 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ids)
 }
 
+// request is the one constructor of an experiment's runs: app under the
+// policy and scheme at the config's scale, seed and faults, on the Table
+// II cluster deviated by variant (a ParseVariant tag, "" for none). The
+// variant is canonicalized (a sweep point restating a default shares the
+// unmodified run), so the result is the session's cache key and equals
+// what a service-submitted request for the same run normalizes to.
+func (c Config) request(app string, kind power.Kind, scheduling bool, variant string) Request {
+	if canon, err := canonVariant(variant); err == nil {
+		variant = canon
+	}
+	return Request{
+		App:        app,
+		Policy:     kind.String(),
+		Scheduling: scheduling,
+		Scale:      c.Scale,
+		Seed:       c.Seed,
+		Variant:    variant,
+		Faults:     c.Faults.Canon(),
+	}
+}
+
 // runOne resolves one (app × policy × scheme) configuration under the
 // default cluster config through the session cache.
 func runOne(ctx context.Context, s *Session, c Config, app string, kind power.Kind, scheduling bool) (*cluster.Result, error) {
-	res, _, err := s.run(ctx, c, defaultSpec(app, kind, scheduling))
+	res, _, err := s.run(ctx, c.request(app, kind, scheduling, ""))
 	return res, err
 }
 
@@ -193,20 +226,20 @@ func runBaselines(ctx context.Context, s *Session, c Config) (*baselineSet, erro
 }
 
 // planBaselines plans the Default Scheme run for every app.
-func planBaselines(c Config) []runSpec {
-	out := make([]runSpec, 0, len(c.Apps))
+func planBaselines(c Config) []Request {
+	out := make([]Request, 0, len(c.Apps))
 	for _, app := range c.Apps {
-		out = append(out, defaultSpec(app, power.KindDefault, false))
+		out = append(out, c.request(app, power.KindDefault, false, ""))
 	}
 	return out
 }
 
 // planCDF plans the default-policy runs of the idle CDFs.
-func planCDF(scheduling bool) func(Config) []runSpec {
-	return func(c Config) []runSpec {
-		out := make([]runSpec, 0, len(c.Apps))
+func planCDF(scheduling bool) func(Config) []Request {
+	return func(c Config) []Request {
+		out := make([]Request, 0, len(c.Apps))
 		for _, app := range c.Apps {
-			out = append(out, defaultSpec(app, power.KindDefault, scheduling))
+			out = append(out, c.request(app, power.KindDefault, scheduling, ""))
 		}
 		return out
 	}
@@ -214,12 +247,12 @@ func planCDF(scheduling bool) func(Config) []runSpec {
 
 // planPolicies plans the baselines plus every managed policy at the given
 // scheduling mode (the energy and degradation figures).
-func planPolicies(scheduling bool) func(Config) []runSpec {
-	return func(c Config) []runSpec {
+func planPolicies(scheduling bool) func(Config) []Request {
+	return func(c Config) []Request {
 		out := planBaselines(c)
 		for _, app := range c.Apps {
 			for _, k := range power.ManagedKinds() {
-				out = append(out, defaultSpec(app, k, scheduling))
+				out = append(out, c.request(app, k, scheduling, ""))
 			}
 		}
 		return out

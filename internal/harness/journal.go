@@ -220,11 +220,10 @@ func (j *Journal) Tail(n int) []Request {
 // Close flushes and closes the journal file. Further appends fail.
 func (j *Journal) Close() error { return j.s.Close() }
 
-// preload seeds a session's memo with the journal's stored entries,
-// returning how many were installed. Entries that fail to restore are
-// skipped (they will simply be re-simulated).
-func (j *Journal) preload(memo map[Request]*memoEntry) int {
-	n := 0
+// each calls fn with every stored run, restored, in store order. Entries
+// that fail to decode or restore are skipped (they will simply be
+// re-simulated).
+func (j *Journal) each(fn func(Request, *cluster.Result)) {
 	j.s.Each(func(key string, raw json.RawMessage) error {
 		var sr storedRun
 		if err := json.Unmarshal(raw, &sr); err != nil {
@@ -234,14 +233,7 @@ func (j *Journal) preload(memo map[Request]*memoEntry) int {
 		if err != nil {
 			return nil
 		}
-		if _, exists := memo[sr.Request]; exists {
-			return nil
-		}
-		done := make(chan struct{})
-		close(done)
-		memo[sr.Request] = &memoEntry{done: done, res: res, preloaded: true}
-		n++
+		fn(sr.Request, res)
 		return nil
 	})
-	return n
 }

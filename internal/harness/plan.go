@@ -8,16 +8,24 @@ import (
 
 // PlanRequests derives the complete distinct run plan of the experiments
 // as canonical Requests, in deterministic order (the first experiment to
-// need a key wins its slot — the same order Prime executes). This is the
-// partitionable form of the plan: a sharded sweep coordinator hands
-// slices of it to workers, and because every element is canonical, the
-// shard contents are content-addressed and stable across processes.
+// need a key wins its slot). It is the plan Prime executes, and the
+// partitionable one: a sharded sweep coordinator hands slices of it to
+// workers, and because every element is canonical, the shard contents
+// are content-addressed and stable across processes.
 func PlanRequests(exps []Experiment, c Config) []Request {
 	c = c.withDefaults()
-	specs := planFor(exps, c)
-	out := make([]Request, len(specs))
-	for i, sp := range specs {
-		out[i] = sp.key(c)
+	seen := make(map[Request]bool)
+	var out []Request
+	for _, e := range exps {
+		if e.plan == nil {
+			continue
+		}
+		for _, req := range e.plan(c) {
+			if !seen[req] {
+				seen[req] = true
+				out = append(out, req)
+			}
+		}
 	}
 	return out
 }
@@ -38,15 +46,22 @@ func (s *Session) Install(req Request, res *cluster.Result) (bool, error) {
 	if res == nil {
 		return false, fmt.Errorf("harness: install %s: nil result", norm.Key())
 	}
-	key := norm.canonical()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.installLocked(norm.canonical(), res), nil
+}
+
+// installLocked seeds a resolved, journal-provenance entry under a
+// canonical key unless the key already has one, reporting whether it did.
+// It is the one writer of preloaded entries: Install and the journal
+// preload in NewSession both go through it. The caller holds s.mu.
+func (s *Session) installLocked(key Request, res *cluster.Result) bool {
 	if _, exists := s.memo[key]; exists {
-		return false, nil
+		return false
 	}
 	done := make(chan struct{})
 	close(done)
 	s.memo[key] = &memoEntry{done: done, res: res, preloaded: true}
 	s.preloaded++
-	return true, nil
+	return true
 }

@@ -88,8 +88,8 @@ func (r Request) Normalize() (Request, error) {
 	if r.Scale == 0 {
 		r.Scale = 1.0
 	}
-	if r.Scale < 0 {
-		return r, fmt.Errorf("harness: scale %v must be positive", r.Scale)
+	if err := checkScale(r.Scale); err != nil {
+		return r, err
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -152,52 +152,55 @@ func (r Request) ContentKey() string {
 }
 
 // Tag renders the request for progress lines, e.g.
-// "sar/history-based+sched (theta=8)".
+// "sar/history-based+sched (theta=8)". Like Key, it expects a normalized
+// request.
 func (r Request) Tag() string {
-	sp, _, err := r.plan()
-	if err != nil {
-		return r.App + "/" + r.Policy
+	s := r.App + "/" + r.Policy
+	if r.Scheduling {
+		s += "+sched"
 	}
-	return sp.tag()
-}
-
-// plan resolves a request into the session's execution form: the run spec
-// (with the variant's config mutation attached) and the harness config.
-// The returned pair round-trips: sp.key(c) == r.canonical() after
-// normalization, which is what lets service-submitted requests share cache
-// slots and store entries with in-process experiment plans.
-func (r Request) plan() (runSpec, Config, error) {
-	r, err := r.Normalize()
-	if err != nil {
-		return runSpec{}, Config{}, err
+	if r.Variant != "" {
+		s += " (" + r.Variant + ")"
 	}
-	kind, err := power.ParseKind(r.Policy)
-	if err != nil {
-		return runSpec{}, Config{}, err
-	}
-	mutate, err := ParseVariant(r.Variant)
-	if err != nil {
-		return runSpec{}, Config{}, err
-	}
-	fc, err := fault.ParseSpec(r.Faults)
-	if err != nil {
-		return runSpec{}, Config{}, err
-	}
-	sp := runSpec{app: r.App, kind: kind, scheduling: r.Scheduling, variant: r.Variant, mutate: mutate}
-	c := Config{Scale: r.Scale, Seed: r.Seed, Faults: fc}
-	return sp, c, nil
+	return s
 }
 
 // BuildRun resolves the request to its simulation inputs: the scaled
-// workload program and the fully-derived cluster config. It is the one
-// translation from the canonical request model to cluster.RunContext
-// arguments — the session's workers and direct runners (sddsim) share it.
+// workload program and the fully-derived cluster config — the Table II
+// defaults, the request's policy, scheme, seed and faults, then the
+// variant's mutation. It is the one translation from the canonical
+// request model to cluster.RunContext arguments: the session's workers,
+// the oracle's inline passes and direct runners (sddsim) all share it.
 func (r Request) BuildRun() (*loop.Program, cluster.Config, error) {
-	sp, c, err := r.plan()
+	r, err := r.Normalize()
 	if err != nil {
 		return nil, cluster.Config{}, err
 	}
-	return sp.build(c)
+	spec, err := workloads.ByName(r.App)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	kind, err := power.ParseKind(r.Policy)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	mutate, err := ParseVariant(r.Variant)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	fc, err := fault.ParseSpec(r.Faults)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	cfg := cluster.DefaultConfig()
+	cfg.Seed = r.Seed
+	cfg.Policy = power.Config{Kind: kind}
+	cfg.Scheduling = r.Scheduling
+	cfg.Faults = fc
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return spec.Build(r.Scale), cfg, nil
 }
 
 // Variant grammar

@@ -57,33 +57,6 @@ func TestRequestNormalizeRejects(t *testing.T) {
 	}
 }
 
-// TestRequestKeyMatchesSessionKey asserts the round-trip at the heart of
-// the redesign: a normalized request plans into (runSpec, Config) whose
-// session cache key is the request itself, so service-submitted requests
-// and in-process experiment plans share cache slots and store entries.
-func TestRequestKeyMatchesSessionKey(t *testing.T) {
-	reqs := []Request{
-		{App: "sar"},
-		{App: "hf", Policy: "history", Scheduling: true, Scale: 0.05, Seed: 42},
-		{App: "astro", Policy: "prediction-based", Variant: "nodes=16,theta=8"},
-		{App: "sar", Faults: "read=0.01,seed=7", Seed: 3},
-		{App: "wupwise", Variant: "cache=32MB,pacache", TimeoutMS: 5000},
-	}
-	for _, r := range reqs {
-		norm, err := r.Normalize()
-		if err != nil {
-			t.Fatalf("%+v: %v", r, err)
-		}
-		sp, c, err := r.plan()
-		if err != nil {
-			t.Fatalf("%+v: %v", r, err)
-		}
-		if got, want := sp.key(c), norm.canonical(); got != want {
-			t.Errorf("plan key %+v, want %+v", got, want)
-		}
-	}
-}
-
 // TestRequestVariantCanonicalization pins the variant grammar: unsorted
 // and default-restating tags collapse to one canonical form.
 func TestRequestVariantCanonicalization(t *testing.T) {
@@ -201,8 +174,8 @@ func TestSessionRunRequest(t *testing.T) {
 		t.Fatalf("InFlight() = %d after completion", s.InFlight())
 	}
 	// A plan-driven run of the same config must also hit.
-	sp := defaultSpec("sar", power.KindDefault, false)
-	_, out3, err := s.run(context.Background(), Config{Scale: 0.02, Seed: 7}.withDefaults(), sp)
+	c := Config{Scale: 0.02, Seed: 7}.withDefaults()
+	_, out3, err := s.run(context.Background(), c.request("sar", power.KindDefault, false, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,97 +16,20 @@ import (
 	"sdds/internal/compilecache"
 	"sdds/internal/diag"
 	"sdds/internal/loop"
-	"sdds/internal/power"
 	"sdds/internal/probe"
-	"sdds/internal/workloads"
 )
 
-// runSpec couples a cache key with the config mutation it denotes.
-type runSpec struct {
-	app        string
-	kind       power.Kind
-	scheduling bool
-	variant    string
-	mutate     func(*cluster.Config)
-}
-
-// defaultSpec is a run under the unmodified Table II cluster config.
-func defaultSpec(app string, kind power.Kind, scheduling bool) runSpec {
-	return runSpec{app: app, kind: kind, scheduling: scheduling}
-}
-
-// variantSpec is a run under a mutated cluster config; tag canonically
-// names the mutation (e.g. "nodes=16", "delta=40", "cache=32MB").
-func variantSpec(app string, kind power.Kind, scheduling bool, tag string, mutate func(*cluster.Config)) runSpec {
-	return runSpec{app: app, kind: kind, scheduling: scheduling, variant: tag, mutate: mutate}
-}
-
-// key renders the spec as a canonical Request — the session cache key.
-// Two runs with equal keys are guaranteed identical (the simulator is
-// deterministic in its inputs), so the session executes each distinct key
-// exactly once. Variant tags are canonicalized here (defaults dropped,
-// elements sorted), which is what lets experiments share runs (fig14a
-// and fig14b both use "theta=N"), lets a sweep point that restates a
-// default (cachesens' "cache=64MB") share the unmodified-config run, and
-// lets service-submitted and shard-distributed requests share cache
-// slots and store entries with in-process plans.
-func (sp runSpec) key(c Config) Request {
-	v := sp.variant
-	if canon, err := canonVariant(v); err == nil {
-		v = canon
-	}
-	return Request{
-		App:        sp.app,
-		Policy:     sp.kind.String(),
-		Scheduling: sp.scheduling,
-		Scale:      c.Scale,
-		Seed:       c.Seed,
-		Variant:    v,
-		Faults:     c.Faults.Canon(),
-	}
-}
-
-// tag renders the spec for progress lines: "sar/history+sched (theta=4)".
-func (sp runSpec) tag() string {
-	s := sp.app + "/" + sp.kind.String()
-	if sp.scheduling {
-		s += "+sched"
-	}
-	if sp.variant != "" {
-		s += " (" + sp.variant + ")"
-	}
-	return s
-}
-
-// build resolves the spec to its simulation inputs: the scaled workload
-// program and the derived cluster config. It is the single translation
-// from the canonical request model to cluster.RunContext arguments —
-// Request.BuildRun and the session workers share it.
-func (sp runSpec) build(c Config) (*loop.Program, cluster.Config, error) {
-	spec, err := workloads.ByName(sp.app)
-	if err != nil {
-		return nil, cluster.Config{}, err
-	}
-	prog := spec.Build(c.Scale)
-	cfg := cluster.DefaultConfig()
-	cfg.Seed = c.Seed
-	cfg.Policy = power.Config{Kind: sp.kind}
-	cfg.Scheduling = sp.scheduling
-	cfg.Faults = c.Faults
-	if sp.mutate != nil {
-		sp.mutate(&cfg)
-	}
-	return prog, cfg, nil
-}
-
-// simulate builds and executes the spec's cluster run through the
+// simulate builds and executes the request's cluster run through the
 // session's shared-prefix machinery: the run's (app, scale, procs) Setup
 // is resolved through the setup cache (built once per sweep group, forked
 // per variant) and the compile pass goes through the session's compile
 // cache when one is enabled. The session probe is attached so the run's
 // compile/simulate spans land in the session trace.
-func (s *Session) simulate(ctx context.Context, c Config, sp runSpec) (*cluster.Result, error) {
-	prog, cfg, err := sp.build(c)
+func (s *Session) simulate(ctx context.Context, req Request) (*cluster.Result, error) {
+	if s.beforeSimulate != nil {
+		s.beforeSimulate(req)
+	}
+	prog, cfg, err := req.BuildRun()
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +37,7 @@ func (s *Session) simulate(ctx context.Context, c Config, sp runSpec) (*cluster.
 	if s.compileCache != nil {
 		cfg.CompileCache = s.compileCache
 	}
-	setup, err := s.setupFor(ctx, setupKey{app: sp.app, scale: c.Scale, procs: cfg.Procs}, prog)
+	setup, err := s.setupFor(ctx, setupKey{app: req.App, scale: req.Scale, procs: cfg.Procs}, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -135,18 +58,18 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("harness: run %s panicked: %v\n%s", e.tag, e.value, e.stack)
 }
 
-// safeSimulate runs the spec's simulation, converting a panic anywhere in
-// the compile or event loop into a per-run error carrying the stack. One
-// misbehaving configuration then fails only its own run; sibling runs on
-// the worker pool complete normally.
-func (s *Session) safeSimulate(ctx context.Context, c Config, sp runSpec) (res *cluster.Result, err error) {
+// safeSimulate runs the request's simulation, converting a panic anywhere
+// in the compile or event loop into a per-run error carrying the stack.
+// One misbehaving configuration then fails only its own run; sibling runs
+// on the worker pool complete normally.
+func (s *Session) safeSimulate(ctx context.Context, req Request) (res *cluster.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
-			err = &panicError{tag: sp.tag(), value: r, stack: debug.Stack()}
+			err = &panicError{tag: req.Tag(), value: r, stack: debug.Stack()}
 		}
 	}()
-	return s.simulate(ctx, c, sp)
+	return s.simulate(ctx, req)
 }
 
 // setupKey identifies one shared pre-simulation snapshot: sweep variants
@@ -196,7 +119,8 @@ type Progress struct {
 	// Hits counts runs of the current call resolved from the session cache
 	// (including waits on a run another experiment had in flight).
 	Hits int
-	// Key names the run, e.g. "sar/history+sched (theta=4)".
+	// Key names the run (Request.Tag), e.g.
+	// "sar/history-based+sched (theta=8)".
 	Key string
 	// Elapsed is the wall-clock duration of this run (≈0 on a cache hit).
 	Elapsed time.Duration
@@ -302,6 +226,11 @@ type Session struct {
 
 	simulated atomic.Int64 // cluster runs actually executed
 	hits      atomic.Int64 // cache hits (completed or in-flight)
+
+	// beforeSimulate, when non-nil, is called with each request just
+	// before it is built and simulated — a test hook for injecting
+	// failures into the worker pool.
+	beforeSimulate func(Request)
 }
 
 // memoEntry is a singleflight cell: the first goroutine to claim a key
@@ -346,7 +275,9 @@ func NewSession(o SessionOptions) *Session {
 		}
 	}
 	if o.Journal != nil {
-		s.preloaded = o.Journal.preload(s.memo)
+		s.mu.Lock()
+		o.Journal.each(func(req Request, res *cluster.Result) { s.installLocked(req, res) })
+		s.mu.Unlock()
 	}
 	return s
 }
@@ -390,7 +321,7 @@ func (s *Session) Stats() (simulated, hits int64) {
 	return s.simulated.Load(), s.hits.Load()
 }
 
-// runOutcome reports how run resolved a spec: served from the session
+// runOutcome reports how run resolved a request: served from the session
 // cache or simulated fresh, and — for hits — whether the entry came from
 // a resumed journal rather than a run this session executed.
 type runOutcome struct {
@@ -398,10 +329,11 @@ type runOutcome struct {
 	fromJournal bool
 }
 
-// run resolves one spec through the cache, simulating it under a worker
-// slot if this call is the first to want it.
-func (s *Session) run(ctx context.Context, c Config, sp runSpec) (*cluster.Result, runOutcome, error) {
-	key := sp.key(c)
+// run resolves one canonical request through the cache, simulating it
+// under a worker slot if this call is the first to want it. The request is
+// the memo key as given: callers pass Config.request results or
+// normalized, canonical() requests.
+func (s *Session) run(ctx context.Context, key Request) (*cluster.Result, runOutcome, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, runOutcome{}, err
@@ -423,13 +355,13 @@ func (s *Session) run(ctx context.Context, c Config, sp runSpec) (*cluster.Resul
 		e := &memoEntry{done: make(chan struct{})}
 		s.memo[key] = e
 		s.mu.Unlock()
-		res, err := s.execute(ctx, c, sp, key, e)
+		res, err := s.execute(ctx, key, e)
 		return res, runOutcome{}, err
 	}
 }
 
 // execute runs a claimed entry under a worker-pool slot.
-func (s *Session) execute(ctx context.Context, c Config, sp runSpec, key Request, e *memoEntry) (*cluster.Result, error) {
+func (s *Session) execute(ctx context.Context, key Request, e *memoEntry) (*cluster.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -447,7 +379,7 @@ func (s *Session) execute(ctx context.Context, c Config, sp runSpec, key Request
 		runCtx, cancel = context.WithTimeout(ctx, s.runTimeout)
 	}
 	start := time.Now() //sddsvet:ignore detflow -- wall-clock run timing for the watchdog and log, not simulated time
-	res, err := s.safeSimulate(runCtx, c, sp)
+	res, err := s.safeSimulate(runCtx, key)
 	elapsed := time.Since(start) //sddsvet:ignore detflow -- wall-clock run timing for the watchdog and log, not simulated time
 	cancel()
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -461,7 +393,7 @@ func (s *Session) execute(ctx context.Context, c Config, sp runSpec, key Request
 		// The per-run deadline fired: that IS a property of the
 		// configuration (at this timeout), so cache the failure — waiters
 		// and retries should see the same verdict, not re-simulate.
-		err = fmt.Errorf("harness: run %s exceeded the %v per-run deadline: %w", sp.tag(), s.runTimeout, err)
+		err = fmt.Errorf("harness: run %s exceeded the %v per-run deadline: %w", key.Tag(), s.runTimeout, err)
 	}
 	e.res, e.err = res, err
 	close(e.done)
@@ -564,27 +496,6 @@ func (s *Session) abandon(key Request, e *memoEntry) {
 	close(e.done)
 }
 
-// planFor derives the complete distinct run plan the experiments need, in
-// deterministic order (first experiment to need a key wins its slot).
-func planFor(exps []Experiment, c Config) []runSpec {
-	seen := make(map[Request]bool)
-	var out []runSpec
-	for _, e := range exps {
-		if e.plan == nil {
-			continue
-		}
-		for _, sp := range e.plan(c) {
-			k := sp.key(c)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
 // Prime derives the run plan for the experiments and executes it over the
 // worker pool, warming the session cache so the experiments themselves
 // resolve from memory. It returns the first run error (cancellation
@@ -592,9 +503,9 @@ func planFor(exps []Experiment, c Config) []runSpec {
 func (s *Session) Prime(ctx context.Context, exps []Experiment, c Config) error {
 	c = c.withDefaults()
 	planSpan := s.probe.StartSpan(probe.TrackPlan, "derive run plan")
-	specs := planFor(exps, c)
+	plan := PlanRequests(exps, c)
 	planSpan.End()
-	if len(specs) == 0 {
+	if len(plan) == 0 {
 		return ctx.Err()
 	}
 	var (
@@ -603,8 +514,8 @@ func (s *Session) Prime(ctx context.Context, exps []Experiment, c Config) error 
 		hits     int
 		firstErr error
 	)
-	total := len(specs)
-	work := make(chan runSpec)
+	total := len(plan)
+	work := make(chan Request)
 	var wg sync.WaitGroup
 	n := s.workers
 	if n > total {
@@ -615,10 +526,10 @@ func (s *Session) Prime(ctx context.Context, exps []Experiment, c Config) error 
 		track := probe.TrackWorkerBase + int32(i)
 		go func() {
 			defer wg.Done()
-			for sp := range work {
+			for req := range work {
 				start := time.Now() //sddsvet:ignore detflow -- wall-clock progress telemetry, not simulated time
-				runSpan := s.probe.StartSpan(track, sp.tag())
-				res, out, err := s.run(ctx, c, sp)
+				runSpan := s.probe.StartSpan(track, req.Tag())
+				res, out, err := s.run(ctx, req)
 				runSpan.End()
 				pmu.Lock()
 				done++
@@ -631,7 +542,7 @@ func (s *Session) Prime(ctx context.Context, exps []Experiment, c Config) error 
 				if s.progress != nil {
 					p := Progress{
 						Done: done, Total: total, Hits: hits,
-						Key: sp.tag(), Elapsed: time.Since(start), //sddsvet:ignore detflow -- wall-clock progress telemetry, not simulated time
+						Key: req.Tag(), Elapsed: time.Since(start), //sddsvet:ignore detflow -- wall-clock progress telemetry, not simulated time
 						Hit: out.hit, FromJournal: out.fromJournal, Err: err,
 					}
 					if res != nil {
@@ -645,9 +556,9 @@ func (s *Session) Prime(ctx context.Context, exps []Experiment, c Config) error 
 		}()
 	}
 feed:
-	for _, sp := range specs {
+	for _, req := range plan {
 		select {
-		case work <- sp:
+		case work <- req:
 		case <-ctx.Done():
 			break feed
 		}
@@ -701,21 +612,22 @@ func (s *Session) RunAll(ctx context.Context, exps []Experiment, c Config) ([]*R
 // session-wide RunTimeout, it is a property of the caller, not of the
 // configuration.
 func (s *Session) RunRequest(ctx context.Context, req Request) (*cluster.Result, bool, error) {
-	sp, c, err := req.plan()
+	key, err := req.Normalize()
 	if err != nil {
 		return nil, false, err
 	}
+	key = key.canonical()
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
 	start := time.Now() //sddsvet:ignore detflow -- wall-clock progress telemetry, not simulated time
-	res, out, err := s.run(ctx, c, sp)
+	res, out, err := s.run(ctx, key)
 	if s.progress != nil {
 		p := Progress{
 			Done: 1, Total: 1,
-			Key: sp.tag(), Elapsed: time.Since(start), //sddsvet:ignore detflow -- wall-clock progress telemetry, not simulated time
+			Key: key.Tag(), Elapsed: time.Since(start), //sddsvet:ignore detflow -- wall-clock progress telemetry, not simulated time
 			Hit: out.hit, FromJournal: out.fromJournal, Err: err,
 		}
 		if out.hit {
@@ -736,12 +648,12 @@ func (s *Session) RunRequest(ctx context.Context, req Request) (*cluster.Result,
 // the result (or the cached failure) and true, without executing or
 // waiting on anything. An unknown or still-in-flight key returns false.
 func (s *Session) Cached(req Request) (*cluster.Result, error, bool) {
-	sp, c, err := req.plan()
+	norm, err := req.Normalize()
 	if err != nil {
 		return nil, err, false
 	}
 	s.mu.Lock()
-	e, ok := s.memo[sp.key(c)]
+	e, ok := s.memo[norm.canonical()]
 	s.mu.Unlock()
 	if !ok {
 		return nil, nil, false

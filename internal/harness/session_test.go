@@ -109,7 +109,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 		}
 	}
 
-	planned := len(planFor(exps, cfg.withDefaults()))
+	planned := len(PlanRequests(exps, cfg))
 	if got := s.MemoSize(); got != planned {
 		t.Fatalf("MemoSize = %d, want planned distinct-key count %d", got, planned)
 	}
@@ -128,9 +128,9 @@ func TestSessionPlanDedup(t *testing.T) {
 	c := tiny().withDefaults()
 	a, _ := ByID("fig14a")
 	b, _ := ByID("fig14b")
-	na := len(planFor([]Experiment{a}, c))
-	nb := len(planFor([]Experiment{b}, c))
-	both := len(planFor([]Experiment{a, b}, c))
+	na := len(PlanRequests([]Experiment{a}, c))
+	nb := len(PlanRequests([]Experiment{b}, c))
+	both := len(PlanRequests([]Experiment{a, b}, c))
 	if nb == 0 || na == 0 {
 		t.Fatalf("empty plans: fig14a=%d fig14b=%d", na, nb)
 	}
@@ -140,8 +140,8 @@ func TestSessionPlanDedup(t *testing.T) {
 	// fig13a shares fig12c's entire plan.
 	c12, _ := ByID("fig12c")
 	c13, _ := ByID("fig13a")
-	if n := len(planFor([]Experiment{c12, c13}, c)); n != len(planFor([]Experiment{c12}, c)) {
-		t.Fatalf("fig13a added %d specs beyond fig12c's plan", n-len(planFor([]Experiment{c12}, c)))
+	if n := len(PlanRequests([]Experiment{c12, c13}, c)); n != len(PlanRequests([]Experiment{c12}, c)) {
+		t.Fatalf("fig13a added %d specs beyond fig12c's plan", n-len(PlanRequests([]Experiment{c12}, c)))
 	}
 }
 
@@ -199,7 +199,7 @@ func TestSessionProgressEvents(t *testing.T) {
 	if _, err := s.Run(context.Background(), e, cfg); err != nil {
 		t.Fatal(err)
 	}
-	planned := len(planFor([]Experiment{e}, cfg.withDefaults()))
+	planned := len(PlanRequests([]Experiment{e}, cfg))
 	if len(events) != planned {
 		t.Fatalf("%d progress events, want %d", len(events), planned)
 	}

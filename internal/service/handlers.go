@@ -202,7 +202,6 @@ type BundleRequest struct {
 type BundleResponse struct {
 	ID       string        `json:"id"`
 	Path     string        `json:"path"`
-	Archive  string        `json:"archive,omitempty"`
 	Manifest diag.Manifest `json:"manifest"`
 }
 
@@ -501,7 +500,7 @@ func (s *Server) handleCaptureBundle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, BundleResponse{
-		ID: info.ID, Path: info.Path, Archive: info.Archive, Manifest: info.Manifest,
+		ID: info.ID, Path: info.Path, Manifest: info.Manifest,
 	})
 }
 
@@ -538,6 +537,6 @@ func (s *Server) handleGetBundle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, BundleResponse{
-		ID: info.ID, Path: info.Path, Archive: info.Archive, Manifest: info.Manifest,
+		ID: info.ID, Path: info.Path, Manifest: info.Manifest,
 	})
 }
