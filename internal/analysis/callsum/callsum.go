@@ -150,14 +150,16 @@ func Of(mod *analysis.Module) *Summaries {
 }
 
 // ForFunc returns fn's summary, summarizing its package (and every
-// module-local dependency) on first use. It returns nil for functions
-// without summaries: externals, interface methods, and function values.
+// module-local dependency) on first use. A method of an instantiated
+// generic type shares its generic declaration's summary. It returns nil
+// for functions without summaries: externals, interface methods, and
+// function values.
 func (s *Summaries) ForFunc(fn *types.Func) *Summary {
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
 	s.ensurePackage(fn.Pkg().Path())
-	return s.byFunc[fn]
+	return s.byFunc[fn.Origin()]
 }
 
 // ForPackage summarizes pkg (once) and every module-local dependency.

@@ -93,3 +93,30 @@ func TestCompositeLiteralFieldsWalked(t *testing.T) {
 		}
 	}
 }
+
+// TestGenericMethodCallee proves a call to a method of an instantiated
+// generic type picks up the generic declaration's summary: the caller
+// inherits the wall-clock read and the lock, with a chain down to the leaf.
+func TestGenericMethodCallee(t *testing.T) {
+	mod, err := analysis.LoadModule("../../..", "internal/analysis/callsum/testdata/src/generic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := mod.Selected[0]
+	sums := callsum.Of(mod)
+	fn := sums.LookupFunc(pkg.PkgPath, "", "caller")
+	if fn == nil {
+		t.Fatal("LookupFunc(caller) = nil")
+	}
+	sum := sums.ForFunc(fn)
+	if sum.Effect(callsum.WallClock) == nil {
+		t.Error("caller: wall-clock read behind the generic method not summarized")
+	}
+	if chain := sums.EffectChain(fn, callsum.WallClock); len(chain) != 2 || chain[1].Note != "time.Now" {
+		t.Errorf("caller: wall-clock chain %q, want caller → stamps.stamp → time.Now", callsum.Render(chain))
+	}
+	lock := pkg.PkgPath + ".stamps.mu"
+	if sum.Locks[lock] == nil {
+		t.Errorf("caller: lock set %v lacks %s", sum.Locks, lock)
+	}
+}

@@ -235,6 +235,9 @@ func (w *walker) call(call *ast.CallExpr) {
 	if fn.Pkg() == nil {
 		return
 	}
+	// A call to a method of a generic type resolves to the instantiated
+	// method; summaries are keyed by the generic declaration.
+	fn = fn.Origin()
 	if fn.Pkg().Path() == "sync" && w.syncCall(call, fn) {
 		return
 	}

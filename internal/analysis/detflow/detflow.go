@@ -34,12 +34,12 @@ import (
 // DetPackages is the one scope table: every package whose behaviour feeds
 // golden-compared output — the event engine and device/executor models,
 // the compiler and its cache, the store/service/shard layers that persist
-// and serve results, the schedule math, metrics, workload generators and
-// the harness — plus the benchmark gate. internal/probe is deliberately
-// absent: its whole job is wall-clock observability spans, and its
-// intrinsic sites carry //sddsvet:ignore detflow so they never taint
-// callers' summaries. Tests may override it.
-var DetPackages = regexp.MustCompile(`^sdds/(internal/(sim|cluster|disk|power|sched|ionode|mpiio|netsim|fault|store|service|compiler|compilecache|diag|shard|backoff|core|metrics|harness|stripe|workloads|loop|polyhedral|cache|trace|benchfmt|cliutil|strutil)|cmd/benchcheck)$`)
+// and serve results, the schedule math, metrics, workload generators, the
+// harness and its memo — plus the benchmark gate. internal/probe is
+// deliberately absent: its whole job is wall-clock observability spans,
+// and its intrinsic sites carry //sddsvet:ignore detflow so they never
+// taint callers' summaries. Tests may override it.
+var DetPackages = regexp.MustCompile(`^sdds/(internal/(sim|cluster|disk|power|sched|ionode|mpiio|netsim|fault|store|service|compiler|compilecache|diag|shard|backoff|core|metrics|harness|memo|stripe|workloads|loop|polyhedral|cache|trace|benchfmt|cliutil|strutil)|cmd/benchcheck)$`)
 
 // checkedKinds are the nondeterminism effects detflow gates on, with the
 // remedy each diagnostic suggests.

@@ -3,7 +3,7 @@
 // analysis plus scheduling-table construction — is a pure function of
 // (program, procs, compiler.Options), so sweep points that differ only in
 // runtime knobs (seed, power policy, RPM set, buffer size, faults) share
-// one artifact. Level one is an in-process singleflight memo keyed by the
+// one artifact. Level one is an in-process memo.Map keyed by the
 // canonical compile key; level two is a persistent content-addressed
 // JSONL artifact store (internal/store) holding the serializable
 // compiler.Artifact mirror. Every artifact is round-trip-pinned before it
@@ -14,33 +14,22 @@ package compilecache
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"sync"
 	"sync/atomic"
 
 	"sdds/internal/compiler"
 	"sdds/internal/loop"
+	"sdds/internal/memo"
 	"sdds/internal/store"
 )
 
-// errAbandoned marks a memo entry whose owner was cancelled before
-// producing a result; waiters retry and one of them becomes the new owner.
-var errAbandoned = errors.New("compilecache: compile abandoned")
-
-// entry is one singleflight cell.
-type entry struct {
-	done chan struct{}
-	res  *compiler.Result
-	err  error
-}
-
 // Cache is a two-level compile-result cache, safe for concurrent use.
 type Cache struct {
-	mu   sync.Mutex
-	memo map[string]*entry
+	memo memo.Map[string, *compiler.Result]
 
 	st     *store.Store // nil: in-process memo only
 	ownSt  bool         // Close closes the store only if this cache opened it
+	mu     sync.Mutex   // guards closed
 	closed bool
 
 	hits        atomic.Int64
@@ -51,9 +40,7 @@ type Cache struct {
 }
 
 // New returns an in-process cache with no persistent backing.
-func New() *Cache {
-	return &Cache{memo: make(map[string]*entry)}
-}
+func New() *Cache { return &Cache{} }
 
 // Open returns a cache backed by the persistent artifact store at path,
 // resuming any artifacts already on disk. The store file is append-only
@@ -114,25 +101,21 @@ type Stats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	entries := len(c.memo)
-	c.mu.Unlock()
 	return Stats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		Restores:    c.restores.Load(),
 		Uncacheable: c.uncacheable.Load(),
 		Bytes:       c.bytes.Load(),
-		Entries:     entries,
+		Entries:     c.memo.Len(),
 	}
 }
 
 // CompileContext resolves the compile pass for (program, options) through
 // the cache, reporting where the result came from. Concurrent callers
-// with the same key share one compile (singleflight); a cancelled owner
-// abandons its cell so waiters retry rather than inherit the
-// cancellation. Deterministic compile errors are cached like results.
-// It satisfies cluster.CompileService.
+// with the same key share one compile, and deterministic compile errors
+// are cached like results; a cancelled owner leaves the key uncached
+// (memo's abandon rule). It satisfies cluster.CompileService.
 func (c *Cache) CompileContext(ctx context.Context, p *loop.Program, opts compiler.Options) (*compiler.Result, compiler.Provenance, error) {
 	key, ok := compiler.KeyFor(p, opts)
 	if !ok {
@@ -140,43 +123,17 @@ func (c *Cache) CompileContext(ctx context.Context, p *loop.Program, opts compil
 		res, err := compiler.CompileContext(ctx, p, opts)
 		return res, compiler.ProvUncacheable, err
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, compiler.ProvNone, err
-		}
-		c.mu.Lock()
-		if e, ok := c.memo[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, compiler.ProvNone, ctx.Err()
-			}
-			if errors.Is(e.err, errAbandoned) {
-				continue // owner cancelled; race for the cell again
-			}
-			c.hits.Add(1)
-			return e.res, compiler.ProvMemory, e.err
-		}
-		e := &entry{done: make(chan struct{})}
-		c.memo[key] = e
-		c.mu.Unlock()
-
-		res, prov, err := c.fill(ctx, key, p, opts)
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// Cancellation reflects this caller's context, not the compile
-			// input: never poison the cell with it.
-			c.mu.Lock()
-			delete(c.memo, key)
-			c.mu.Unlock()
-			e.err = errAbandoned
-			close(e.done)
-			return nil, compiler.ProvNone, err
-		}
-		e.res, e.err = res, err
-		close(e.done)
-		return res, prov, err
+	var prov compiler.Provenance
+	res, hit, err := c.memo.Do(ctx, key, func() (*compiler.Result, error) {
+		res, fresh, err := c.fill(ctx, key, p, opts)
+		prov = fresh
+		return res, err
+	})
+	if hit {
+		c.hits.Add(1)
+		prov = compiler.ProvMemory
 	}
+	return res, prov, err
 }
 
 // fill produces the value for a memo cell the caller owns: restore from

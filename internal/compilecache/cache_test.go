@@ -3,9 +3,12 @@ package compilecache
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sdds/internal/compiler"
 	"sdds/internal/loop"
@@ -205,20 +208,106 @@ func TestCacheCorruptArtifactFallsBack(t *testing.T) {
 	c1.Close()
 }
 
-// A cancelled owner must not poison the cell: the next caller compiles.
+// pollCtx is a context whose Err reports nil for its first live polls and
+// then whatever after returns (or panics with): a cancellation or panic
+// that lands once the owner has claimed its cell, mid-compile.
+type pollCtx struct {
+	context.Context
+	live  int32
+	polls atomic.Int32
+	after func() error
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(1) <= c.live {
+		return nil
+	}
+	return c.after()
+}
+
+// parkCtx is a live context that reports when a waiter first selects on
+// its Done channel: by then the waiter holds the claimed cell it waits on.
+type parkCtx struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (c *parkCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.parked) })
+	return c.Context.Done()
+}
+
+// A cancelled owner must not poison the cell: a waiter parked on it
+// retries and compiles under its own context.
 func TestCacheCancelledOwnerAbandons(t *testing.T) {
 	c := New()
 	opts := compiler.DefaultOptions(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := c.CompileContext(ctx, testProgram(), opts); err == nil {
-		t.Fatal("cancelled compile succeeded")
+	claimed, proceed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	owner := &pollCtx{Context: context.Background(), live: 1, after: func() error {
+		once.Do(func() { close(claimed); <-proceed })
+		return context.Canceled
+	}}
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.CompileContext(owner, testProgram(), opts)
+		ownerErr <- err
+	}()
+	<-claimed // the owner holds the cell and is compiling
+
+	type outcome struct {
+		res  *compiler.Result
+		prov compiler.Provenance
+		err  error
 	}
-	res, prov, err := c.CompileContext(context.Background(), testProgram(), opts)
+	waiter := make(chan outcome, 1)
+	wctx := &parkCtx{Context: context.Background(), parked: make(chan struct{})}
+	go func() {
+		res, prov, err := c.CompileContext(wctx, testProgram(), opts)
+		waiter <- outcome{res, prov, err}
+	}()
+	<-wctx.parked // the waiter is waiting on the owner's cell
+	close(proceed)
+
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	w := <-waiter
+	if w.err != nil || w.res == nil {
+		t.Fatalf("waiter after abandon: %v", w.err)
+	}
+	if w.prov != compiler.ProvCompiled {
+		t.Fatalf("waiter provenance = %v, want a fresh compile", w.prov)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want one compile and no hits", st)
+	}
+}
+
+// A compile that panics abandons its cell: once the panic is recovered,
+// the next compile of the key runs instead of waiting forever.
+func TestCachePanickingOwnerAbandons(t *testing.T) {
+	c := New()
+	opts := compiler.DefaultOptions(4)
+	owner := &pollCtx{Context: context.Background(), live: 1, after: func() error {
+		panic("context poll panicked")
+	}}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("compile did not panic")
+			}
+		}()
+		c.CompileContext(owner, testProgram(), opts)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	res, prov, err := c.CompileContext(ctx, testProgram(), opts)
 	if err != nil || res == nil {
-		t.Fatalf("post-cancel compile: %v", err)
+		t.Fatalf("compile after a panicked owner: %v", err)
 	}
 	if prov != compiler.ProvCompiled {
-		t.Fatalf("post-cancel provenance = %v", prov)
+		t.Fatalf("provenance = %v, want a fresh compile", prov)
 	}
 }

@@ -46,22 +46,5 @@ func (s *Session) Install(req Request, res *cluster.Result) (bool, error) {
 	if res == nil {
 		return false, fmt.Errorf("harness: install %s: nil result", norm.Key())
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.installLocked(norm.canonical(), res), nil
-}
-
-// installLocked seeds a resolved, journal-provenance entry under a
-// canonical key unless the key already has one, reporting whether it did.
-// It is the one writer of preloaded entries: Install and the journal
-// preload in NewSession both go through it. The caller holds s.mu.
-func (s *Session) installLocked(key Request, res *cluster.Result) bool {
-	if _, exists := s.memo[key]; exists {
-		return false
-	}
-	done := make(chan struct{})
-	close(done)
-	s.memo[key] = &memoEntry{done: done, res: res, preloaded: true}
-	s.preloaded++
-	return true
+	return s.runs.Seed(norm.canonical(), cachedRun{res: res, fromJournal: true}), nil
 }

@@ -81,3 +81,36 @@ func TestInstallSeedsCache(t *testing.T) {
 		t.Error("Install of nil result succeeded, want error")
 	}
 }
+
+// TestInstallPreloadedConcurrent reads Preloaded while Install commits
+// results, as sddsd's GET /v1/status does while a shard result is being
+// merged. Under -race it pins that the count is read under the lock its
+// writer holds; without -race it checks every install was counted.
+func TestInstallPreloadedConcurrent(t *testing.T) {
+	s := NewSession(SessionOptions{})
+	const n = 64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seed := int64(1); seed <= n; seed++ {
+			req := Request{App: "sar", Scale: 0.05, Seed: seed}
+			if _, err := s.Install(req, &cluster.Result{Program: "sar"}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if p := s.Preloaded(); p < 0 || p > n {
+			t.Fatalf("Preloaded = %d mid-install, want 0..%d", p, n)
+		}
+	}
+	if p := s.Preloaded(); p != n {
+		t.Fatalf("Preloaded = %d after %d installs", p, n)
+	}
+}

@@ -170,8 +170,8 @@ func TestSessionRunRequest(t *testing.T) {
 	if !ok || cerr != nil || cres != res {
 		t.Fatalf("Cached() = (%v, %v, %v), want the run", cres, cerr, ok)
 	}
-	if s.InFlight() != 0 {
-		t.Fatalf("InFlight() = %d after completion", s.InFlight())
+	if n := len(s.InFlight()); n != 0 {
+		t.Fatalf("InFlight() = %d after completion", n)
 	}
 	// A plan-driven run of the same config must also hit.
 	c := Config{Scale: 0.02, Seed: 7}.withDefaults()

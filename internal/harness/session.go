@@ -15,16 +15,18 @@ import (
 	"sdds/internal/cluster"
 	"sdds/internal/compilecache"
 	"sdds/internal/diag"
-	"sdds/internal/loop"
+	"sdds/internal/memo"
 	"sdds/internal/probe"
 )
 
 // simulate builds and executes the request's cluster run through the
 // session's shared-prefix machinery: the run's (app, scale, procs) Setup
-// is resolved through the setup cache (built once per sweep group, forked
-// per variant) and the compile pass goes through the session's compile
-// cache when one is enabled. The session probe is attached so the run's
-// compile/simulate spans land in the session trace.
+// comes from the setup cache — the first run of a sweep group builds it,
+// every sibling variant waits and then forks off the same immutable
+// snapshot; build errors are deterministic properties of the key and are
+// cached like results — and the compile pass goes through the session's
+// compile cache when one is enabled. The session probe is attached so the
+// run's compile/simulate spans land in the session trace.
 func (s *Session) simulate(ctx context.Context, req Request) (*cluster.Result, error) {
 	if s.beforeSimulate != nil {
 		s.beforeSimulate(req)
@@ -37,7 +39,10 @@ func (s *Session) simulate(ctx context.Context, req Request) (*cluster.Result, e
 	if s.compileCache != nil {
 		cfg.CompileCache = s.compileCache
 	}
-	setup, err := s.setupFor(ctx, setupKey{app: req.App, scale: req.Scale, procs: cfg.Procs}, prog)
+	key := setupKey{app: req.App, scale: req.Scale, procs: cfg.Procs}
+	setup, _, err := s.setups.Do(ctx, key, func() (*cluster.Setup, error) {
+		return cluster.NewSetup(prog, key.procs)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -78,37 +83,6 @@ type setupKey struct {
 	app   string
 	scale float64
 	procs int
-}
-
-// setupEntry is a singleflight cell for one Setup build.
-type setupEntry struct {
-	done  chan struct{}
-	setup *cluster.Setup
-	err   error
-}
-
-// setupFor resolves the shared Setup for key through the session's setup
-// cache: the first run of a sweep group builds it, every sibling variant
-// waits and then forks off the same immutable snapshot. Build errors are
-// deterministic properties of (app, scale, procs) and are cached like
-// results.
-func (s *Session) setupFor(ctx context.Context, key setupKey, prog *loop.Program) (*cluster.Setup, error) {
-	s.setupMu.Lock()
-	if e, ok := s.setups[key]; ok {
-		s.setupMu.Unlock()
-		select {
-		case <-e.done:
-			return e.setup, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &setupEntry{done: make(chan struct{})}
-	s.setups[key] = e
-	s.setupMu.Unlock()
-	e.setup, e.err = cluster.NewSetup(prog, key.procs)
-	close(e.done)
-	return e.setup, e.err
 }
 
 // Progress is one run-level progress event, delivered after each planned
@@ -213,16 +187,14 @@ type Session struct {
 
 	progMu sync.Mutex // serializes RunRequest progress emissions
 
-	mu        sync.Mutex
-	memo      map[Request]*memoEntry
-	preloaded int // runs seeded from a resumed journal
-
+	// runs is the run cache, one cell per canonical request; journal and
+	// Install results are seeded into it.
+	runs memo.Map[Request, cachedRun]
 	// compileCache memoizes compile artifacts across the worker pool (and,
 	// when store-backed, across processes); nil when disabled.
 	compileCache *compilecache.Cache
 	// setups shares the pre-simulation Setup per (app, scale, procs).
-	setupMu sync.Mutex
-	setups  map[setupKey]*setupEntry
+	setups memo.Map[setupKey, *cluster.Setup]
 
 	simulated atomic.Int64 // cluster runs actually executed
 	hits      atomic.Int64 // cache hits (completed or in-flight)
@@ -233,21 +205,13 @@ type Session struct {
 	beforeSimulate func(Request)
 }
 
-// memoEntry is a singleflight cell: the first goroutine to claim a key
-// simulates it; everyone else waits on done.
-type memoEntry struct {
-	done chan struct{}
-	res  *cluster.Result
-	err  error
-	// preloaded marks entries seeded from a resumed journal, so hits on
-	// them report store provenance instead of in-process provenance.
-	preloaded bool
+// cachedRun is one run-cache value: the result, and whether it was seeded
+// from a resumed journal or merged in by Install rather than simulated by
+// this session, so hits on it report store provenance.
+type cachedRun struct {
+	res         *cluster.Result
+	fromJournal bool
 }
-
-// errAbandoned marks an entry whose owner was cancelled before the
-// simulation ran; waiters retry (and re-claim) instead of inheriting the
-// owner's cancellation.
-var errAbandoned = errors.New("harness: run abandoned by cancelled owner")
 
 // NewSession returns a Session with its own empty run cache.
 func NewSession(o SessionOptions) *Session {
@@ -264,8 +228,6 @@ func NewSession(o SessionOptions) *Session {
 		journal:    o.Journal,
 		diag:       o.Diag,
 		log:        o.Log,
-		memo:       make(map[Request]*memoEntry),
-		setups:     make(map[setupKey]*setupEntry),
 	}
 	if !o.DisableCompileCache {
 		if o.CompileCache != nil {
@@ -275,9 +237,7 @@ func NewSession(o SessionOptions) *Session {
 		}
 	}
 	if o.Journal != nil {
-		s.mu.Lock()
-		o.Journal.each(func(req Request, res *cluster.Result) { s.installLocked(req, res) })
-		s.mu.Unlock()
+		o.Journal.each(func(req Request, res *cluster.Result) { s.runs.Seed(req, cachedRun{res, true}) })
 	}
 	return s
 }
@@ -294,26 +254,18 @@ func (s *Session) CompileCacheStats() compilecache.Stats {
 // SetupGroups reports how many distinct (app, scale, procs) setup
 // snapshots the session has built — the sweep groups sharing a
 // pre-simulation fork point.
-func (s *Session) SetupGroups() int {
-	s.setupMu.Lock()
-	defer s.setupMu.Unlock()
-	return len(s.setups)
-}
+func (s *Session) SetupGroups() int { return s.setups.Len() }
 
-// Preloaded reports how many runs the session cache was seeded with from
-// a resumed journal.
-func (s *Session) Preloaded() int { return s.preloaded }
+// Preloaded reports how many runs the session cache was seeded with, from
+// a resumed journal or through Install.
+func (s *Session) Preloaded() int { return s.runs.Seeded() }
 
 // Workers reports the worker-pool bound.
 func (s *Session) Workers() int { return s.workers }
 
 // MemoSize reports how many distinct configurations the session has
 // resolved (or has in flight).
-func (s *Session) MemoSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.memo)
-}
+func (s *Session) MemoSize() int { return s.runs.Len() }
 
 // Stats reports lifetime counters: cluster simulations actually executed
 // and cache hits served.
@@ -334,43 +286,34 @@ type runOutcome struct {
 // the memo key as given: callers pass Config.request results or
 // normalized, canonical() requests.
 func (s *Session) run(ctx context.Context, key Request) (*cluster.Result, runOutcome, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, runOutcome{}, err
+	v, hit, err := s.runs.Do(ctx, key, func() (cachedRun, error) {
+		res, err := s.execute(ctx, key)
+		return cachedRun{res: res}, err
+	})
+	if hit {
+		s.hits.Add(1)
+	} else if err == nil && s.journal != nil {
+		if jerr := s.journal.append(key, v.res); jerr != nil {
+			// The run itself succeeded and stays cached; surface the
+			// journal failure to this caller so the sweep stops cleanly
+			// (a dead journal cannot protect a crash-resume).
+			return v.res, runOutcome{}, jerr
 		}
-		s.mu.Lock()
-		if e, ok := s.memo[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, runOutcome{}, ctx.Err()
-			}
-			if errors.Is(e.err, errAbandoned) {
-				continue // owner cancelled before simulating; re-claim
-			}
-			s.hits.Add(1)
-			return e.res, runOutcome{hit: true, fromJournal: e.preloaded}, e.err
-		}
-		e := &memoEntry{done: make(chan struct{})}
-		s.memo[key] = e
-		s.mu.Unlock()
-		res, err := s.execute(ctx, key, e)
-		return res, runOutcome{}, err
 	}
+	return v.res, runOutcome{hit: hit, fromJournal: v.fromJournal}, err
 }
 
-// execute runs a claimed entry under a worker-pool slot.
-func (s *Session) execute(ctx context.Context, key Request, e *memoEntry) (*cluster.Result, error) {
+// execute simulates a claimed request under a worker-pool slot. An error
+// it returns while ctx is done is this call's cancellation, which the run
+// cache does not keep; every other outcome is the configuration's verdict.
+func (s *Session) execute(ctx context.Context, key Request) (*cluster.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.abandon(key, e)
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
 	if err := ctx.Err(); err != nil {
-		s.abandon(key, e)
 		return nil, err
 	}
 	runCtx := ctx
@@ -382,31 +325,19 @@ func (s *Session) execute(ctx context.Context, key Request, e *memoEntry) (*clus
 	res, err := s.safeSimulate(runCtx, key)
 	elapsed := time.Since(start) //sddsvet:ignore detflow -- wall-clock run timing for the watchdog and log, not simulated time
 	cancel()
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		if ctx.Err() != nil {
-			// Cancellation is a property of this call's context, not of the
-			// configuration; don't poison the cache with it. And it says
-			// nothing about the run, so no diagnostics are captured either.
-			s.abandon(key, e)
-			return nil, err
-		}
+	if err != nil && ctx.Err() != nil {
+		// Cancellation says nothing about the configuration, so no
+		// diagnostics are captured and the cache abandons the cell.
+		return nil, err
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		// The per-run deadline fired: that IS a property of the
-		// configuration (at this timeout), so cache the failure — waiters
-		// and retries should see the same verdict, not re-simulate.
+		// configuration (at this timeout), so the failure is cached —
+		// waiters and retries see the same verdict, not re-simulate.
 		err = fmt.Errorf("harness: run %s exceeded the %v per-run deadline: %w", key.Tag(), s.runTimeout, err)
 	}
-	e.res, e.err = res, err
-	close(e.done)
 	s.simulated.Add(1)
 	s.finishRun(key, res, err, elapsed)
-	if err == nil && s.journal != nil {
-		if jerr := s.journal.append(key, res); jerr != nil {
-			// The run itself succeeded and stays cached; surface the
-			// journal failure to this caller so the sweep stops cleanly
-			// (a dead journal cannot protect a crash-resume).
-			return res, jerr
-		}
-	}
 	return res, err
 }
 
@@ -484,16 +415,6 @@ func (s *Session) captureRun(trigger string, key Request, res *cluster.Result, e
 		}
 	}
 	s.diag.Capture(c)
-}
-
-// abandon releases a claimed-but-unsimulated entry so other waiters can
-// re-claim the key under their own contexts.
-func (s *Session) abandon(key Request, e *memoEntry) {
-	s.mu.Lock()
-	delete(s.memo, key)
-	s.mu.Unlock()
-	e.err = errAbandoned
-	close(e.done)
 }
 
 // Prime derives the run plan for the experiments and executes it over the
@@ -652,34 +573,11 @@ func (s *Session) Cached(req Request) (*cluster.Result, error, bool) {
 	if err != nil {
 		return nil, err, false
 	}
-	s.mu.Lock()
-	e, ok := s.memo[norm.canonical()]
-	s.mu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	select {
-	case <-e.done:
-	default:
-		return nil, nil, false // still simulating
-	}
-	if errors.Is(e.err, errAbandoned) {
-		return nil, nil, false
-	}
-	return e.res, e.err, true
+	v, err, ok := s.runs.Lookup(norm.canonical())
+	return v.res, err, ok
 }
 
-// InFlight reports how many claimed configurations are still simulating.
-func (s *Session) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.memo {
-		select {
-		case <-e.done:
-		default:
-			n++
-		}
-	}
-	return n
-}
+// InFlight lists the canonical requests the session has claimed but not
+// yet resolved — simulating or queued for a worker slot, whichever call
+// submitted them — oldest claim first.
+func (s *Session) InFlight() []Request { return s.runs.InFlight() }

@@ -53,7 +53,7 @@ func (p *Pool[T]) Get() *T {
 	p.live++
 	if p.owned != nil {
 		if p.owned[x] {
-			panic(fmt.Sprintf("pool: %T handed out while still in flight", x))
+			panic(fmt.Sprintf("pool: %T handed out while still in flight", x)) //sddsvet:ignore hotalloc -- ownership-check panic: owned is non-nil only under a test-only pool.Check
 		}
 		p.owned[x] = true
 	}
@@ -65,7 +65,7 @@ func (p *Pool[T]) Get() *T {
 func (p *Pool[T]) Put(x *T) {
 	if p.owned != nil {
 		if !p.owned[x] {
-			panic(fmt.Sprintf("pool: %T released twice", x))
+			panic(fmt.Sprintf("pool: %T released twice", x)) //sddsvet:ignore hotalloc -- ownership-check panic: owned is non-nil only under a test-only pool.Check
 		}
 		delete(p.owned, x)
 	}

@@ -353,18 +353,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleGetRun resolves GET /v1/runs/{key}: 202 while the key is being
-// simulated, 200 with the stored result once resolved (this process or
-// any earlier one), 404 for an unknown key.
+// handleGetRun resolves GET /v1/runs/{key}: 202 while the session has the
+// key in flight (whichever path submitted it), 200 with the stored result
+// once resolved (this process or any earlier one), 404 for an unknown key.
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
+	// In flight is checked first: a run leaves the session's in-flight
+	// list by resolving (or, cancelled, by being dropped), so a key no
+	// longer in flight is cached unless its submitter gave up.
+	for _, req := range s.sess.InFlight() {
+		if req.ContentKey() == key {
+			writeJSON(w, http.StatusAccepted, RunResponse{Key: key, Request: req})
+			return
+		}
+	}
 	s.mu.Lock()
 	req, known := s.seen[key]
-	running := s.inflight[key] > 0
 	s.mu.Unlock()
-	// A resolved verdict wins over the inflight count: a later request for
-	// the same key holds it above zero while it reads the cached result,
-	// and that must not turn a finished run back into 202.
 	if known {
 		if res, rerr, ok := s.sess.Cached(req); ok {
 			resp := RunResponse{Key: key, Request: req, Cached: true}
@@ -377,10 +382,6 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
-	}
-	if running {
-		writeJSON(w, http.StatusAccepted, RunResponse{Key: key, Request: req})
-		return
 	}
 	// Not resolved in this process: the persistent store still answers for
 	// runs recorded by earlier lifetimes.

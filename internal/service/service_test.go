@@ -310,6 +310,48 @@ func TestServiceConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestDoctorWorkerPoolWithQueuedRuns: runs queued for a worker slot are
+// in flight, but the pool's semaphore caps the running ones, so a busy
+// 1-worker service never fails the doctor's worker-pool check.
+func TestDoctorWorkerPoolWithQueuedRuns(t *testing.T) {
+	s, ts := newTestServer(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
+	var wg sync.WaitGroup
+	for _, app := range []string{"sar", "hf", "astro"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var run RunResponse
+			if code := postJSON(t, ts.URL+"/v1/runs", harness.Request{App: app, Scale: 0.1, Seed: 7}, &run); code != http.StatusOK {
+				t.Errorf("%s: run status %d (%s)", app, code, run.Error)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	maxInFlight, failed := 0, ""
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		if n := s.Status().InFlight; n > maxInFlight {
+			maxInFlight = n
+		}
+		for _, c := range s.Doctor().Checks {
+			if c.Name == "worker-pool" && c.Status != "ok" && failed == "" {
+				failed = c.Status + ": " + c.Detail
+			}
+		}
+	}
+	if failed != "" {
+		t.Errorf("worker-pool check on a healthy service: %s", failed)
+	}
+	if maxInFlight < 2 {
+		t.Errorf("saw at most %d run in flight; the check was never exercised with a queued run", maxInFlight)
+	}
+}
+
 // TestServiceEventsStream asserts the SSE endpoint delivers run events.
 func TestServiceEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, filepath.Join(t.TempDir(), "store.jsonl"), 2)

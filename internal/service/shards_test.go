@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -337,6 +338,49 @@ func TestShardLocalFallback(t *testing.T) {
 	}
 	if _, _, err := cl.Run(ctx, req.ContentKey()); err != nil {
 		t.Fatalf("merged result missing: %v", err)
+	}
+}
+
+// TestGetRunInFlightDuringLocalFallback: a run the local-fallback worker
+// is simulating never passes through the run handler, yet GET
+// /v1/runs/{key} answers 202 for it and /v1/status lists it, because both
+// read in-flight state from the session.
+func TestGetRunInFlightDuringLocalFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a run; skipped in -short")
+	}
+	s, ts := newShardServer(t, Options{LocalGrace: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cl := &shard.Client{BaseURL: ts.URL}
+
+	req, err := harness.Request{App: "madbench2", Policy: "history", Scheduling: true, Scale: 0.2, Seed: 7}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Submit(ctx, shard.SubmitRequest{Requests: []harness.Request{req}}); err != nil {
+		t.Fatal(err)
+	}
+	key := req.ContentKey()
+	st := s.Status()
+	for st.InFlight == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the fallback run never showed in flight")
+		}
+		time.Sleep(time.Millisecond)
+		st = s.Status()
+	}
+	if code := getJSON(t, ts.URL+"/v1/runs/"+key, nil); code != http.StatusAccepted {
+		t.Errorf("GET of the simulating run = %d, want 202", code)
+	}
+	if len(st.InFlightKeys) != st.InFlight || st.InFlightKeys[0] != key {
+		t.Errorf("status inflight %d, inflight_keys %v; want one list holding %s", st.InFlight, st.InFlightKeys, key)
+	}
+	if snap, err := cl.WaitDone(ctx, 50*time.Millisecond); err != nil {
+		t.Fatalf("fallback sweep failed: %v (%+v)", err, snap)
+	}
+	if code := getJSON(t, ts.URL+"/v1/runs/"+key, nil); code != http.StatusOK {
+		t.Errorf("GET after the sweep = %d, want 200", code)
 	}
 }
 
