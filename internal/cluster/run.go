@@ -268,7 +268,7 @@ func RunPrepared(ctx context.Context, setup *Setup, cfg Config) (*Result, error)
 		res.AgentIssued += issued
 		res.AgentBlocked += blocked
 		res.AgentDeferred += deferred
-		res.AgentMoved += int64(len(ex.comp.Schedule.MovedEarlier(p)))
+		res.AgentMoved += int64(ex.comp.Schedule.NumMovedEarlier(p))
 	}
 	if inj != nil {
 		res.Faults = collectFaultStats(inj, nodes, net, ex)

@@ -137,6 +137,10 @@ func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
 	}
 	slacks := make([]loop.Slack, len(a.Slacks))
 	for i, s := range a.Slacks {
+		// The process id indexes the schedule's tables.
+		if s.Proc < 0 || s.Proc >= opts.Procs {
+			return nil, fmt.Errorf("compiler: artifact slack %d: proc %d outside [0,%d)", i, s.Proc, opts.Procs)
+		}
 		slacks[i] = loop.Slack{
 			Inst: loop.IOInstance{
 				Proc:   s.Proc,

@@ -19,9 +19,11 @@ import (
 // scheduling algorithms consume (a in Fig. 11).
 type Access struct {
 	// ID uniquely identifies the access within one scheduling problem.
+	// IDs index the schedule, so they must be non-negative and should be
+	// dense (the compiler numbers accesses 0..n−1).
 	ID int
-	// Proc is the issuing process (thread) id: at most one access per
-	// process may occupy a given slot.
+	// Proc is the issuing process (thread) id, non-negative: at most one
+	// access per process may occupy a given slot.
 	Proc int
 	// Begin and End delimit the slack window [a.b, a.e] in scheduling
 	// slots, inclusive. A negative slack must be normalized by the slack
@@ -56,6 +58,10 @@ func (a *Access) LatestStart() int {
 // Validate reports the first problem with the access, or nil.
 func (a *Access) Validate(numSlots, numNodes int) error {
 	switch {
+	case a.ID < 0:
+		return fmt.Errorf("core: access %d: negative ID", a.ID)
+	case a.Proc < 0:
+		return fmt.Errorf("core: access %d: negative proc %d", a.ID, a.Proc)
 	case a.Length < 1:
 		return fmt.Errorf("core: access %d: length %d < 1", a.ID, a.Length)
 	case a.Begin < 0 || a.End < a.Begin:

@@ -13,6 +13,22 @@ import (
 func sig16(nodes ...int) stripe.Signature { return stripe.SignatureOf(16, nodes...) }
 func sig4(nodes ...int) stripe.Signature  { return stripe.SignatureOf(4, nodes...) }
 
+// reuseAt returns R_t for a starting at t over the scheduler's committed
+// groups.
+func reuseAt(s *Scheduler, a *Access, t int) float64 {
+	s.nodes = a.Sig.AppendNodes(s.nodes[:0])
+	s.fill(a)
+	return s.reuseFactor(t)
+}
+
+// thetaOK reports whether a starting at t keeps every node it touches
+// within θ over its span.
+func thetaOK(s *Scheduler, a *Access, t int) bool {
+	s.nodes = a.Sig.AppendNodes(s.nodes[:0])
+	s.fill(a)
+	return s.span(t).over == 0
+}
+
 // fixed returns an access pinned to a single slot (slack length 1).
 func fixed(id, proc, slot int, sig stripe.Signature) *Access {
 	return &Access{ID: id, Proc: proc, Begin: slot, End: slot, Length: 1, Sig: sig, Orig: slot}
@@ -40,17 +56,86 @@ func TestAccessValidate(t *testing.T) {
 	if err := ok.Validate(10, 16); err != nil {
 		t.Fatal(err)
 	}
-	bad := []*Access{
-		{ID: 1, Begin: 0, End: 5, Length: 0, Sig: sig16(1)},
-		{ID: 1, Begin: -1, End: 5, Length: 1, Sig: sig16(1)},
-		{ID: 1, Begin: 5, End: 4, Length: 1, Sig: sig16(1)},
-		{ID: 1, Begin: 0, End: 10, Length: 1, Sig: sig16(1)},
-		{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig4(1)},
-		{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig16()},
+	bad := []struct {
+		a    *Access
+		want string
+	}{
+		{&Access{ID: 1, Begin: 0, End: 5, Length: 0, Sig: sig16(1)}, "access 1: length 0"},
+		{&Access{ID: 1, Begin: -1, End: 5, Length: 1, Sig: sig16(1)}, "access 1: bad slack"},
+		{&Access{ID: 1, Begin: 5, End: 4, Length: 1, Sig: sig16(1)}, "access 1: bad slack"},
+		{&Access{ID: 1, Begin: 0, End: 10, Length: 1, Sig: sig16(1)}, "access 1: slack end"},
+		{&Access{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig4(1)}, "access 1: signature"},
+		{&Access{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig16()}, "access 1: empty signature"},
+		{&Access{ID: -3, Begin: 0, End: 5, Length: 1, Sig: sig16(1)}, "access -3: negative ID"},
+		{&Access{ID: 2, Proc: -1, Begin: 0, End: 5, Length: 1, Sig: sig16(1)}, "access 2: negative proc -1"},
 	}
-	for i, a := range bad {
-		if err := a.Validate(10, 16); err == nil {
-			t.Errorf("access %d validated", i)
+	for i, c := range bad {
+		err := c.a.Validate(10, 16)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: Validate = %v, want an error containing %q", i, err, c.want)
+		}
+	}
+}
+
+// TestNewScheduleFromAssignmentsRejects checks the restored assignments
+// that cannot index a schedule.
+func TestNewScheduleFromAssignmentsRejects(t *testing.T) {
+	p := Params{NumSlots: 10, NumNodes: 4}
+	acc := func(id, proc int) *Access {
+		return &Access{ID: id, Proc: proc, Begin: 0, End: 5, Length: 1, Sig: sig4(0), Orig: 5}
+	}
+	for i, c := range []struct {
+		assigns []ScheduledAccess
+		want    string
+	}{
+		{[]ScheduledAccess{{Access: nil}}, "nil access"},
+		{[]ScheduledAccess{{Access: acc(-1, 0), Point: 1}}, "access -1: negative ID"},
+		{[]ScheduledAccess{{Access: acc(3, -1), Point: 1}}, "access 3: negative proc -1"},
+		{[]ScheduledAccess{{Access: acc(3, 0), Point: -1}}, "access 3: point -1 outside 10 slots"},
+		{[]ScheduledAccess{{Access: acc(3, 0), Point: 10}}, "access 3: point 10 outside 10 slots"},
+		{[]ScheduledAccess{{Access: acc(3, 0), Point: 1}, {Access: acc(3, 1), Point: 2}}, "duplicate assignment for access 3"},
+	} {
+		if _, err := NewScheduleFromAssignments(p, c.assigns); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: NewScheduleFromAssignments = %v, want an error containing %q", i, err, c.want)
+		}
+	}
+}
+
+// TestScheduleAllocsIndependentOfSlack pins the allocation shape of
+// Schedule: the per-access scratch is sized once for the widest window,
+// so widening every slack adds no allocation.
+func TestScheduleAllocsIndependentOfSlack(t *testing.T) {
+	problem := func(widen int) []*Access {
+		rng := rand.New(rand.NewSource(5))
+		var accs []*Access
+		for i := 0; i < 64; i++ {
+			begin := rng.Intn(300)
+			end := min(begin+rng.Intn(6)+widen, 399)
+			accs = append(accs, &Access{
+				ID: i, Proc: i % 8, Begin: begin, End: end, Length: 1 + rng.Intn(3),
+				Sig: stripe.SignatureOf(8, rng.Intn(8), rng.Intn(8)), Orig: end,
+			})
+		}
+		return accs
+	}
+	for _, p := range []Params{
+		{NumSlots: 400, NumNodes: 8, Delta: 20},
+		{NumSlots: 400, NumNodes: 8, Delta: 20, Theta: 4},
+		{NumSlots: 400, NumNodes: 8, Delta: 3, Theta: 1, NoWeights: true},
+	} {
+		allocs := func(accs []*Access) float64 {
+			return testing.AllocsPerRun(10, func() {
+				s, err := NewScheduler(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Schedule(accs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if narrow, wide := allocs(problem(0)), allocs(problem(90)); narrow != wide {
+			t.Errorf("%+v: %v allocs with narrow slacks, %v with every slack widened by 90", p, narrow, wide)
 		}
 	}
 }
@@ -173,7 +258,7 @@ func TestPaperExtendedExample(t *testing.T) {
 	// t4/t8 weight 2/3, t3/t9 weight 1/3 (δ=2).
 	inv := func(slot int) float64 { return a2.Sig.InverseDistance(s.GroupSignature(slot)) }
 	want := inv(5) + inv(6) + inv(7) + 2.0/3*(inv(4)+inv(8)) + 1.0/3*(inv(3)+inv(9))
-	if got := s.reuseFactor(a2, 5); math.Abs(got-want) > 1e-12 {
+	if got := reuseAt(s, a2, 5); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("extended reuse factor at t5 = %v, want %v", got, want)
 	}
 
@@ -181,12 +266,12 @@ func TestPaperExtendedExample(t *testing.T) {
 	// A2's span), as the paper states.
 	s2, a2b, _ := mk(2)
 	// Re-derive eligibility on a fresh scheduler with the pre accesses only.
-	if !s2.thetaOK(a2b, 5) {
+	if !thetaOK(s2, a2b, 5) {
 		t.Fatal("t5 must satisfy θ=2 for A2 (paper's example)")
 	}
 	// θ=1: node 1 already carries A1 across t5..t7, so adding A2 violates.
 	s1, a2c, _ := mk(1)
-	if s1.thetaOK(a2c, 5) {
+	if thetaOK(s1, a2c, 5) {
 		t.Fatal("t5 must violate θ=1 for A2")
 	}
 }
@@ -382,7 +467,7 @@ func TestSchedulingPacksAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Baseline: every access at its original point.
-	base := newSchedule(Params{NumSlots: 200, NumNodes: 8}, 64)
+	base := newSchedule(Params{NumSlots: 200, NumNodes: 8}, 64, 8)
 	for _, a := range mk() {
 		base.assign(a, a.Orig)
 	}
@@ -404,11 +489,13 @@ func TestMovedEarlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved := sched.MovedEarlier(1)
-	if len(moved) != 1 || moved[0].AccessID != 2 {
-		t.Fatalf("MovedEarlier = %+v", moved)
+	if n := sched.NumMovedEarlier(1); n != 1 {
+		t.Fatalf("NumMovedEarlier(1) = %d, want 1 (access 2)", n)
 	}
-	if len(sched.MovedEarlier(0)) != 0 {
+	if p, _ := sched.PointOf(2); p >= 15 {
+		t.Fatalf("access 2 at %d, not moved before its original point 15", p)
+	}
+	if sched.NumMovedEarlier(0) != 0 {
 		t.Fatal("pinned access reported as moved")
 	}
 }
@@ -449,7 +536,7 @@ func TestScheduleTablesSortedPerProcess(t *testing.T) {
 // several accesses sit outside their slack: it names the lowest access ID
 // on every call, never whichever one map iteration visits first.
 func TestValidateErrorDeterministic(t *testing.T) {
-	s := newSchedule(Params{NumSlots: 20, NumNodes: 4}, 2)
+	s := newSchedule(Params{NumSlots: 20, NumNodes: 4}, 3, 1)
 	s.assign(&Access{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig4(0), Orig: 5}, 9)
 	s.assign(&Access{ID: 2, Begin: 0, End: 5, Length: 1, Sig: sig4(1), Orig: 5}, 12)
 	s.finalize()
@@ -462,9 +549,25 @@ func TestValidateErrorDeterministic(t *testing.T) {
 }
 
 func TestScheduleRejectsInvalidAccess(t *testing.T) {
-	s, _ := NewScheduler(Params{NumSlots: 10, NumNodes: 4, Delta: 1})
-	if _, err := s.Schedule([]*Access{{ID: 1, Begin: 0, End: 20, Length: 1, Sig: sig4(0)}}); err == nil {
-		t.Fatal("out-of-range slack accepted")
+	acc := func(id, proc int) *Access {
+		return &Access{ID: id, Proc: proc, Begin: 0, End: 5, Length: 1, Sig: sig4(0), Orig: 5}
+	}
+	for i, c := range []struct {
+		accs []*Access
+		want string
+	}{
+		{[]*Access{{ID: 1, Begin: 0, End: 20, Length: 1, Sig: sig4(0)}}, "access 1: slack end 20"},
+		{[]*Access{acc(0, 0), acc(-1, 0)}, "access -1: negative ID"},
+		{[]*Access{acc(0, -2)}, "access 0: negative proc -2"},
+		{[]*Access{acc(4, 0), acc(4, 1)}, "access 4: duplicate ID"},
+	} {
+		s, err := NewScheduler(Params{NumSlots: 10, NumNodes: 4, Delta: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Schedule(c.accs); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: Schedule = %v, want an error containing %q", i, err, c.want)
+		}
 	}
 }
 

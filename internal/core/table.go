@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdds/internal/stripe"
 )
@@ -18,83 +19,117 @@ type Entry struct {
 }
 
 // Schedule is the output of the scheduler: the scheduling point of every
-// access plus the per-process tables the runtime scheduler loads.
+// access plus the per-process tables the runtime scheduler loads. Access
+// IDs and process ids index its slices.
 type Schedule struct {
 	params Params
-	points map[int]int     // access ID → slot
-	access map[int]*Access // access ID → access
-	tables map[int][]Entry // proc → entries sorted by slot
+	access []*Access // access ID → access; nil for an ID with no access
+	points []int     // access ID → slot
+	n      int       // scheduled accesses
+	tables [][]Entry // proc → entries sorted by (slot, access ID)
 }
 
-func newSchedule(p Params, capHint int) *Schedule {
+// newSchedule returns an empty schedule for access IDs below ids and
+// process ids below procs.
+func newSchedule(p Params, ids, procs int) *Schedule {
 	return &Schedule{
 		params: p,
-		points: make(map[int]int, capHint),
-		access: make(map[int]*Access, capHint),
-		tables: make(map[int][]Entry),
+		access: make([]*Access, ids),
+		points: make([]int, ids),
+		tables: make([][]Entry, procs),
 	}
 }
 
 func (s *Schedule) assign(a *Access, point int) {
-	s.points[a.ID] = point
 	s.access[a.ID] = a
-	s.tables[a.Proc] = append(s.tables[a.Proc], Entry{
-		Slot:     point,
-		AccessID: a.ID,
-		Orig:     a.Orig,
-		Length:   a.Length,
-		Sig:      a.Sig,
-	})
+	s.points[a.ID] = point
 }
 
+// finalize builds the per-process tables from the assigned points: each
+// process's entries in (slot, access ID) order, all in one backing array.
 func (s *Schedule) finalize() {
-	for proc := range s.tables {
-		t := s.tables[proc]
-		sort.Slice(t, func(i, j int) bool { //sddsvet:ignore detflow -- each table is sorted on its own: visit order cannot change any result
-			if t[i].Slot != t[j].Slot {
-				return t[i].Slot < t[j].Slot
-			}
-			return t[i].AccessID < t[j].AccessID
+	counts := make([]int, len(s.tables))
+	s.n = 0
+	for _, a := range s.access {
+		if a != nil {
+			counts[a.Proc]++
+			s.n++
+		}
+	}
+	backing := make([]Entry, 0, s.n)
+	for p, c := range counts {
+		if c > 0 {
+			s.tables[p] = backing[len(backing) : len(backing) : len(backing)+c]
+			backing = backing[:len(backing)+c]
+		}
+	}
+	for id, a := range s.access {
+		if a == nil {
+			continue
+		}
+		s.tables[a.Proc] = append(s.tables[a.Proc], Entry{
+			Slot:     s.points[id],
+			AccessID: id,
+			Orig:     a.Orig,
+			Length:   a.Length,
+			Sig:      a.Sig,
 		})
+	}
+	for _, t := range s.tables {
+		slices.SortStableFunc(t, func(x, y Entry) int { return cmp.Compare(x.Slot, y.Slot) })
 	}
 }
 
 // PointOf returns the scheduling point of an access, and whether the access
 // was scheduled.
 func (s *Schedule) PointOf(accessID int) (int, bool) {
-	p, ok := s.points[accessID]
-	return p, ok
+	if accessID < 0 || accessID >= len(s.access) || s.access[accessID] == nil {
+		return 0, false
+	}
+	return s.points[accessID], true
 }
 
 // Len returns the number of scheduled accesses.
-func (s *Schedule) Len() int { return len(s.points) }
+func (s *Schedule) Len() int { return s.n }
 
 // Procs returns the process ids that have table entries, ascending.
 func (s *Schedule) Procs() []int {
-	out := make([]int, 0, len(s.tables))
-	for p := range s.tables {
-		out = append(out, p)
+	var out []int
+	for p, t := range s.tables {
+		if len(t) > 0 {
+			out = append(out, p)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Table returns process proc's scheduling table sorted by slot. The caller
 // must not modify the returned slice.
-func (s *Schedule) Table(proc int) []Entry { return s.tables[proc] }
+func (s *Schedule) Table(proc int) []Entry {
+	if proc < 0 || proc >= len(s.tables) {
+		return nil
+	}
+	return s.tables[proc]
+}
 
-// MovedEarlier returns the entries of proc whose scheduling point precedes
-// their original point — exactly the accesses the runtime scheduler
-// prefetches ("the scheduler only performs data accesses scheduled at much
-// earlier iterations than their original points", §III).
-func (s *Schedule) MovedEarlier(proc int) []Entry {
-	var out []Entry
-	for _, e := range s.tables[proc] {
+// NumMovedEarlier counts the entries of proc whose scheduling point
+// precedes their original point — exactly the accesses the runtime
+// scheduler prefetches ("the scheduler only performs data accesses
+// scheduled at much earlier iterations than their original points", §III).
+func (s *Schedule) NumMovedEarlier(proc int) int {
+	n := 0
+	for _, e := range s.Table(proc) {
 		if e.Slot < e.Orig {
-			out = append(out, e)
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// spanOf returns the slots [lo, hi) that access id occupies at its point.
+func (s *Schedule) spanOf(id int) (lo, hi int) {
+	lo = s.points[id]
+	return lo, lo + min(s.access[id].Length, s.params.NumSlots-lo)
 }
 
 // ValidationReport summarizes the soft properties of a schedule.
@@ -162,26 +197,22 @@ func (s *Schedule) Validate() (ValidationReport, error) {
 // lowers this total — the quantity the scheduling algorithm implicitly
 // minimizes to lengthen idle periods.
 func (s *Schedule) NodeActivations() int {
-	active := make(map[int]stripe.Signature)
-	for id, point := range s.points {
-		a := s.access[id]
-		for k := 0; k < a.Length; k++ {
-			slot := point + k
-			if slot >= s.params.NumSlots {
-				break
+	active := make([]stripe.Signature, s.params.NumSlots)
+	for id, a := range s.access {
+		if a == nil {
+			continue
+		}
+		lo, hi := s.spanOf(id)
+		for slot := lo; slot < hi; slot++ {
+			if active[slot].Len() == 0 {
+				active[slot] = stripe.NewSignature(s.params.NumNodes)
 			}
-			g, ok := active[slot]
-			if !ok {
-				//sddsvet:ignore detflow -- insert-once: a fresh empty signature per slot
-				g = stripe.NewSignature(s.params.NumNodes)
-				active[slot] = g //sddsvet:ignore detflow -- insert-once: stored only when absent; updates OR in place (commutative)
-			}
-			g.OrInPlace(a.Sig) //sddsvet:ignore detflow -- OR is commutative: the slot signature is visit-order free
+			active[slot].OrInPlace(a.Sig)
 		}
 	}
 	total := 0
 	for _, g := range active {
-		total += g.Count() //sddsvet:ignore detflow -- integer sum of per-slot counts: exact in any order
+		total += g.Count()
 	}
 	return total
 }
@@ -189,18 +220,21 @@ func (s *Schedule) NodeActivations() int {
 // ActiveSlotCount returns the number of slots with at least one scheduled
 // access — fewer active slots means accesses were packed more tightly.
 func (s *Schedule) ActiveSlotCount() int {
-	active := make(map[int]bool)
-	for id, point := range s.points {
-		a := s.access[id]
-		for k := 0; k < a.Length; k++ {
-			slot := point + k
-			if slot >= s.params.NumSlots {
-				break
+	active := make([]bool, s.params.NumSlots)
+	total := 0
+	for id, a := range s.access {
+		if a == nil {
+			continue
+		}
+		lo, hi := s.spanOf(id)
+		for slot := lo; slot < hi; slot++ {
+			if !active[slot] {
+				active[slot] = true
+				total++
 			}
-			active[slot] = true
 		}
 	}
-	return len(active)
+	return total
 }
 
 // Assignment couples an access ID with its scheduling point — the minimal
@@ -216,11 +250,12 @@ type Assignment struct {
 // the canonical order-independent rendering of the schedule used by the
 // compile-artifact store.
 func (s *Schedule) Assignments() []Assignment {
-	out := make([]Assignment, 0, len(s.points))
-	for id, p := range s.points {
-		out = append(out, Assignment{ID: id, Point: p})
+	out := make([]Assignment, 0, s.n)
+	for id, a := range s.access {
+		if a != nil {
+			out = append(out, Assignment{ID: id, Point: s.points[id]})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -238,12 +273,24 @@ type ScheduledAccess struct {
 // scheduler itself, so a rebuilt schedule is bit-identical to the
 // original — the property the artifact round-trip pin asserts.
 func NewScheduleFromAssignments(p Params, assigns []ScheduledAccess) (*Schedule, error) {
-	s := newSchedule(p, len(assigns))
+	ids, procs := 0, 0
 	for _, sa := range assigns {
-		if sa.Access == nil {
+		a := sa.Access
+		switch {
+		case a == nil:
 			return nil, fmt.Errorf("core: assignment with nil access")
+		case a.ID < 0:
+			return nil, fmt.Errorf("core: access %d: negative ID", a.ID)
+		case a.Proc < 0:
+			return nil, fmt.Errorf("core: access %d: negative proc %d", a.ID, a.Proc)
+		case sa.Point < 0 || sa.Point >= p.NumSlots:
+			return nil, fmt.Errorf("core: access %d: point %d outside %d slots", a.ID, sa.Point, p.NumSlots)
 		}
-		if _, dup := s.points[sa.Access.ID]; dup {
+		ids, procs = max(ids, a.ID+1), max(procs, a.Proc+1)
+	}
+	s := newSchedule(p, ids, procs)
+	for _, sa := range assigns {
+		if s.access[sa.Access.ID] != nil {
 			return nil, fmt.Errorf("core: duplicate assignment for access %d", sa.Access.ID)
 		}
 		s.assign(sa.Access, sa.Point)
@@ -263,24 +310,21 @@ func (s *Schedule) Rescale(d, numSlots int, slackOf func(accessID int) (begin, e
 	}
 	params := s.params
 	params.NumSlots = numSlots
-	out := newSchedule(params, len(s.points))
-	for id, point := range s.points {
-		a := s.access[id]
+	out := newSchedule(params, len(s.access), len(s.tables))
+	// Re-anchor each access to full resolution so Validate and the tables
+	// reason in the same slot space.
+	anchored := make([]Access, 0, s.n)
+	for id, a := range s.access {
+		if a == nil {
+			continue
+		}
 		begin, end := slackOf(id)
-		full := point * d
-		if full < begin {
-			full = begin
-		}
-		if full > end {
-			full = end
-		}
-		// Re-anchor the access to full resolution so Validate and
-		// MovedEarlier reason in the same slot space.
 		fa := *a
 		fa.Begin = begin
 		fa.End = end
 		fa.Orig = end
-		out.assign(&fa, full) //sddsvet:ignore detflow -- per-process table order is fixed by the finalize sort on (slot, access ID)
+		anchored = append(anchored, fa)
+		out.assign(&anchored[len(anchored)-1], min(max(s.points[id]*d, begin), end))
 	}
 	out.finalize()
 	return out
