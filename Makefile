@@ -5,12 +5,12 @@ GO ?= go
 # sandboxes, air-gapped machines) skip it with a notice instead of failing.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci lint vet sddsvet staticcheck build test race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench bench-check bench-module
+.PHONY: ci lint vet sddsvet staticcheck build test race smoke fuzz-smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench bench-check bench-module
 
 # CI runs the lint tier strictly: silently skipping a linter there would
 # let findings land unreviewed.
 ci: LINT_STRICT = 1
-ci: lint build bench-module race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench-check
+ci: lint build bench-module race smoke fuzz-smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench-check
 
 # Fast static tier: runs in seconds, ahead of the (90-minute) race tier.
 # LINT_STRICT=1 turns the offline staticcheck skip into a hard failure.
@@ -64,6 +64,21 @@ race:
 # experiment at 5% scale on two apps through the parallel session engine.
 smoke:
 	$(GO) run ./cmd/sddstables -scale 0.05 -apps sar,madbench2 -progress=false
+
+# Native fuzzing: every Fuzz target in the module runs for 10 s on top of
+# its committed seed corpus (testdata/fuzz/, which plain `go test` already
+# replays). A failing input is written under the package's testdata/fuzz/
+# and fails the tier. -fuzzminimizetime bounds how long each newly
+# interesting input is minimized: at the default 60 s, minimizing one
+# input would take the whole window.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=testdata \
+			--exclude-dir=bench --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			echo "fuzz $$t ($$(dirname "$$f"))"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s -fuzzminimizetime 200x "./$$(dirname "$$f")"; \
+		done; \
+	done
 
 # Tracing end to end: a small traced run through sddsim, then sddsdiag
 # validates the emitted bytes against the trace-event shape.

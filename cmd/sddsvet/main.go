@@ -1,12 +1,11 @@
 // Command sddsvet is the project's multichecker: it statically enforces the
 // simulator's determinism and hot-path contracts over the given package
-// patterns (default ./...). It ships four analyzers:
+// patterns (default ./...). It ships three analyzers:
 //
-//	detflow      wall clock, global RNG, and map/goroutine order in the
-//	             golden-fingerprint packages, directly or via any call chain
-//	hotalloc     per-event allocations on the annotated hot path, any depth
-//	eventretain  retention of free-list-recycled *sim.Event values
-//	locksafe     handlers blocking while holding progress-critical locks
+//	detflow   wall clock, global RNG, and map/goroutine order in the
+//	          golden-fingerprint packages, directly or via any call chain
+//	hotalloc  per-event allocations on the annotated hot path, any depth
+//	locksafe  handlers blocking while holding progress-critical locks
 //
 // plus a stale-suppression audit (ignoreaudit) reporting //sddsvet:ignore
 // comments that no longer suppress anything. The audit runs only when the

@@ -5,7 +5,6 @@ package all
 import (
 	"sdds/internal/analysis"
 	"sdds/internal/analysis/detflow"
-	"sdds/internal/analysis/eventretain"
 	"sdds/internal/analysis/hotalloc"
 	"sdds/internal/analysis/locksafe"
 )
@@ -14,7 +13,6 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	detflow.Analyzer,
 	hotalloc.Analyzer,
-	eventretain.Analyzer,
 	locksafe.Analyzer,
 }
 

@@ -18,7 +18,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	recorded := []analysis.Finding{
 		{File: "a.go", Line: 1, Col: 1, Analyzer: "hotalloc", Message: "m1"},
 		{File: "a.go", Line: 9, Col: 1, Analyzer: "hotalloc", Message: "m1"}, // same key, second copy
-		{File: "b.go", Line: 2, Col: 1, Analyzer: "eventretain", Message: "m2"},
+		{File: "b.go", Line: 2, Col: 1, Analyzer: "locksafe", Message: "m2"},
 	}
 	var buf bytes.Buffer
 	if err := analysis.WriteBaseline(&buf, recorded); err != nil {
@@ -37,7 +37,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	// a brand-new finding appeared.
 	current := []analysis.Finding{
 		{File: "a.go", Line: 5, Col: 1, Analyzer: "hotalloc", Message: "m1"},
-		{File: "b.go", Line: 2, Col: 1, Analyzer: "eventretain", Message: "m2"},
+		{File: "b.go", Line: 2, Col: 1, Analyzer: "locksafe", Message: "m2"},
 		{File: "c.go", Line: 3, Col: 1, Analyzer: "detflow", Message: "m3"},
 	}
 	newFindings, stale := base.Apply(current)
@@ -63,7 +63,7 @@ func TestLoadBaselineMissingFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := []analysis.Finding{{File: "a.go", Analyzer: "eventretain", Message: "m"}}
+	findings := []analysis.Finding{{File: "a.go", Analyzer: "locksafe", Message: "m"}}
 	newFindings, stale := base.Apply(findings)
 	if len(newFindings) != 1 || len(stale) != 0 {
 		t.Errorf("empty baseline: new=%d stale=%d, want 1/0", len(newFindings), len(stale))

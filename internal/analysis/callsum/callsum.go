@@ -1,6 +1,6 @@
 // Package callsum builds module-wide, per-function effect summaries: which
 // contract-relevant effects (allocation, wall-clock reads, global-RNG draws,
-// order-sensitive map iteration, *sim.Event retention) and which locking
+// order-sensitive map iteration) and which locking
 // behaviour (locks acquired, may-block, may-block-while-holding) a function
 // has, directly or through any chain of calls. The per-function syntactic
 // checks see one body at a time; the summaries let them follow a
@@ -63,18 +63,15 @@ const (
 	// outcome — a call or an order-sensitive store inside a map range, or a
 	// float accumulation into shared state from a `go` body.
 	MapOrder
-	// RetainEvent: stores a non-retained *sim.Event past its handler scope.
-	RetainEvent
 
 	numEffects
 )
 
 var kindNames = [numEffects]string{
-	Alloc:       "alloc",
-	WallClock:   "wall-clock",
-	GlobalRand:  "global-rand",
-	MapOrder:    "map-order",
-	RetainEvent: "retain-event",
+	Alloc:      "alloc",
+	WallClock:  "wall-clock",
+	GlobalRand: "global-rand",
+	MapOrder:   "map-order",
 }
 
 func (k EffectKind) String() string {
@@ -88,11 +85,10 @@ func (k EffectKind) String() string {
 // directives justify it at the intrinsic site: an ignored site is dropped
 // from the summary so the effect never taints transitive callers.
 var suppressors = [numEffects]string{
-	Alloc:       "hotalloc",
-	WallClock:   "detflow",
-	GlobalRand:  "detflow",
-	MapOrder:    "detflow",
-	RetainEvent: "eventretain",
+	Alloc:      "hotalloc",
+	WallClock:  "detflow",
+	GlobalRand: "detflow",
+	MapOrder:   "detflow",
 }
 
 // Cause records why a summary has an effect: either an intrinsic operation

@@ -46,7 +46,7 @@ func TestRecursionFixpoint(t *testing.T) {
 	}
 	// The effect-free cycle converges clean.
 	for _, name := range []string{"pure", "pureTwin"} {
-		for _, k := range []callsum.EffectKind{callsum.Alloc, callsum.WallClock, callsum.GlobalRand, callsum.MapOrder, callsum.RetainEvent} {
+		for _, k := range []callsum.EffectKind{callsum.Alloc, callsum.WallClock, callsum.GlobalRand, callsum.MapOrder} {
 			if c := sumOf(name).Effect(k); c != nil {
 				t.Errorf("%s: unexpected %v effect: %+v", name, k, c)
 			}

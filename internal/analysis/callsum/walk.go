@@ -8,11 +8,6 @@ import (
 	"sdds/internal/analysis"
 )
 
-// SimPackage is the import path of the discrete-event engine; *sim.Event
-// retention is tracked against it and the engine's own free-list
-// bookkeeping is exempt. A var so fixture tests can rebind it.
-var SimPackage = "sdds/internal/sim"
-
 // globalRandFuncs are the package-level math/rand (and v2) functions
 // drawing from the globally-seeded source. Deterministic constructors
 // (New, NewSource, NewZipf) stay allowed.
@@ -127,8 +122,6 @@ func (w *walker) walk(n ast.Node) {
 					w.intrinsic(Alloc, n.Pos(), "slice/map literal allocates")
 				}
 			}
-		case *ast.AssignStmt:
-			w.assign(n)
 		}
 		return true
 	})
@@ -450,69 +443,6 @@ func (w *walker) goAccumulate(lit *ast.FuncLit) {
 		}
 		return true
 	})
-}
-
-// assign records *sim.Event retention: a non-retained event (a parameter,
-// or the result of Engine.Schedule/ScheduleAt) stored into a field,
-// element, or package-level variable. The engine's own package is exempt —
-// the free list stores events by design.
-func (w *walker) assign(as *ast.AssignStmt) {
-	if w.pkg.PkgPath == SimPackage {
-		return
-	}
-	for i, lhs := range as.Lhs {
-		if i >= len(as.Rhs) {
-			break
-		}
-		t, ok := w.pkg.Info.Types[as.Rhs[i]]
-		if !ok || !analysis.IsPointerTo(t.Type, SimPackage, "Event") {
-			continue
-		}
-		if !retainingLval(w.pkg.Info, lhs) {
-			continue
-		}
-		if src := w.retainSource(as.Rhs[i]); src != "" {
-			w.intrinsic(RetainEvent, as.Pos(), "stores *sim.Event ("+src+")")
-		}
-	}
-}
-
-// retainingLval reports whether the store target outlives the enclosing
-// call frame: a field, an element, or a package-level variable.
-func retainingLval(info *types.Info, lhs ast.Expr) bool {
-	switch l := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.Ident:
-		v, ok := analysis.ObjOf(info, l).(*types.Var)
-		return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-	}
-	return false
-}
-
-// retainSource describes why the stored event is non-retained: "" means the
-// flow isn't tracked here (eventretain's per-function analysis is the
-// precise check for local flows).
-func (w *walker) retainSource(rhs ast.Expr) string {
-	switch r := ast.Unparen(rhs).(type) {
-	case *ast.CallExpr:
-		fn := analysis.CalleeFunc(w.pkg.Info, r)
-		if fn != nil && (fn.Name() == "Schedule" || fn.Name() == "ScheduleAt") &&
-			analysis.IsMethodOn(fn, SimPackage, "Engine") {
-			return "from Engine." + fn.Name()
-		}
-	case *ast.Ident:
-		if v, ok := analysis.ObjOf(w.pkg.Info, r).(*types.Var); ok && w.fd.Type.Params != nil {
-			for _, field := range w.fd.Type.Params.List {
-				for _, pn := range field.Names {
-					if w.pkg.Info.Defs[pn] == v {
-						return "parameter " + v.Name()
-					}
-				}
-			}
-		}
-	}
-	return ""
 }
 
 // ---------------------------------------------------------------------------

@@ -33,12 +33,12 @@ func TestMulticheckerOnKnownBad(t *testing.T) {
 	var buf bytes.Buffer
 	analysis.WriteText(&buf, findings)
 	out := buf.String()
-	// knownbad: stamp and reduce (detflow), arm (hotalloc), keep
-	// (eventretain); the suppressed function contributes nothing.
-	// knownbaddet: stampDet (detflow), badHandler (locksafe), and the
-	// deliberately stale directive (ignoreaudit).
-	if len(findings) != 7 {
-		t.Fatalf("got %d findings, want 7:\n%s", len(findings), out)
+	// knownbad: stamp and reduce (detflow), arm (hotalloc); the
+	// suppressed function contributes nothing. knownbaddet: stampDet
+	// (detflow), badHandler (locksafe), and the deliberately stale
+	// directive (ignoreaudit).
+	if len(findings) != 6 {
+		t.Fatalf("got %d findings, want 6:\n%s", len(findings), out)
 	}
 	for _, a := range all.Analyzers {
 		if !strings.Contains(out, ": "+a.Name+": ") {
@@ -49,8 +49,8 @@ func TestMulticheckerOnKnownBad(t *testing.T) {
 		t.Errorf("no finding from the suppression audit in output:\n%s", out)
 	}
 	lineRE := regexp.MustCompile(`(?m)^internal/analysis/testdata/src/knownbad(det)?/knownbad(det)?\.go:\d+:\d+: \w+: .+$`)
-	if got := len(lineRE.FindAllString(out, -1)); got != 7 {
-		t.Errorf("%d lines match the file:line:col: analyzer: message format, want 7:\n%s", got, out)
+	if got := len(lineRE.FindAllString(out, -1)); got != 6 {
+		t.Errorf("%d lines match the file:line:col: analyzer: message format, want 6:\n%s", got, out)
 	}
 	if strings.Contains(out, "suppression") {
 		t.Errorf("suppressed finding leaked into output:\n%s", out)

@@ -48,8 +48,8 @@ func TestIgnoreIndexEdgeCases(t *testing.T) {
 		t.Error("locksafe half of the comma-list directive did not cover reduce")
 	}
 	// An analyzer nobody named stays unsuppressed.
-	if idx.Suppressed("eventretain", posOf("reduce")) {
-		t.Error("eventretain suppressed without any directive naming it")
+	if idx.Suppressed("detflow", posOf("answer")) {
+		t.Error("detflow suppressed on answer without any directive naming it")
 	}
 
 	// Every detflow directive (stacked pair + comma-list half) is now used.
@@ -58,13 +58,13 @@ func TestIgnoreIndexEdgeCases(t *testing.T) {
 			t.Errorf("detflow directive at %s:%d not marked used", d.File, d.Line)
 		}
 	}
-	// Only the deliberately-stale eventretain directive is left.
+	// Only the deliberately-stale locksafe directive on answer is left.
 	stale := idx.Stale()
-	if len(stale) != 1 || stale[0].Name != "eventretain" {
+	if len(stale) != 1 || stale[0].Name != "locksafe" || stale[0].Line != pkg.Fset.Position(posOf("answer")).Line-1 {
 		names := make([]string, 0, len(stale))
 		for _, d := range stale {
 			names = append(names, d.Name)
 		}
-		t.Errorf("Stale() = %v, want exactly [eventretain]", names)
+		t.Errorf("Stale() = %v, want exactly [locksafe] above answer", names)
 	}
 }

@@ -13,7 +13,7 @@ var stamp = now() //sddsvet:ignore detflow -- stacked: trailing form
 //sddsvet:ignore detflow,locksafe -- one comment, two analyzers, same line
 var reduce = 0.0
 
-//sddsvet:ignore eventretain -- deliberately stale: nothing here trips eventretain
+//sddsvet:ignore locksafe -- deliberately stale: nothing here trips locksafe
 var answer = 42
 
 func now() int64 { return 1 }

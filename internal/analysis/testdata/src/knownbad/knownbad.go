@@ -1,7 +1,7 @@
 // Package knownbad is the multichecker integration fixture: it carries
-// violations for the determinism, allocation, and event-retention
-// analyzers, plus one suppressed line, so the driver test can assert the
-// full find-filter-format pipeline.
+// violations for the determinism and allocation analyzers, plus one
+// suppressed line, so the driver test can assert the full
+// find-filter-format pipeline.
 package knownbad
 
 import (
@@ -12,7 +12,6 @@ import (
 
 type node struct {
 	eng   *sim.Engine
-	timer *sim.Event
 	count int
 }
 
@@ -24,11 +23,6 @@ func stamp() int64 {
 // hotalloc: capturing closure on the fire-and-forget path.
 func (n *node) arm() {
 	n.eng.ScheduleFunc(1, "tick", func(now sim.Time) { n.count++ })
-}
-
-// eventretain: parameter event stored into a field.
-func (n *node) keep(ev *sim.Event) {
-	n.timer = ev
 }
 
 // detflow: reduction ordered by map iteration.

@@ -1,15 +1,14 @@
-// Package cache provides the byte-budgeted block LRU used in two places in
-// the reproduction: the per-I/O-node storage cache (Table II: 64 MB, with
-// prefetch insertion) and the client-side global buffer the runtime data
-// access scheduler manages (§III, built on the collective caching library of
-// Liao et al.).
+// Package cache provides the byte-budgeted block caches behind each I/O
+// node's storage cache (Table II: 64 MB, with prefetch insertion): a plain
+// LRU and the power-aware PALRU of the cache-policy ablation. Both track
+// which blocks are resident and how large they are, not their data.
 package cache
 
 import "fmt"
 
 // Key identifies a cached block: a file id plus a block index within the
-// file (the block granularity is chosen by the owner — stripe units for the
-// storage cache, access ids for the client buffer).
+// file (the block granularity is chosen by the owner; the I/O node uses
+// stripe units).
 type Key struct {
 	File  int
 	Block int64
@@ -47,17 +46,24 @@ type slot struct {
 }
 
 // recency is the byte-budgeted recency order LRU and PALRU share. Entries
-// live in one slab linked by index (head = most recent), freed slots are
-// chained for reuse, and a map indexes them by key — so once the slab has
-// grown to the working set, Put, Get and Remove allocate nothing. The two
-// caches differ only in how Put picks its eviction victims.
+// live in one slab linked by index (head = most recent), and freed slots
+// are chained for reuse. An open-addressed table indexes them by key: each
+// cell holds a slab index + 1 (0 = empty), collisions probe linearly,
+// deletes shift the following run back, and the table is kept at most half
+// full. The first admit sizes the slab and the table for capacity ÷ that
+// block's size + 1 entries (the +1 is the block admitted before eviction
+// makes room, and maxPresize caps it), so a cache whose blocks are all one
+// size allocates nothing after its first Put. Smaller blocks later grow
+// both by doubling. The two caches differ only in how Put picks its
+// eviction victims.
 type recency struct {
 	capacity   int64
 	used       int64
 	slab       []slot
 	head, tail int32
 	free       int32 // first slot of the free chain (linked through next)
-	index      map[Key]int32
+	index      []int32
+	n          int // resident blocks
 
 	hits, misses, evictions int64
 }
@@ -66,7 +72,7 @@ func newRecency(capacity int64) (recency, error) {
 	if capacity <= 0 {
 		return recency{}, fmt.Errorf("cache: capacity %d must be positive", capacity)
 	}
-	return recency{capacity: capacity, head: none, tail: none, free: none, index: make(map[Key]int32)}, nil
+	return recency{capacity: capacity, head: none, tail: none, free: none}, nil
 }
 
 // Capacity returns the byte budget.
@@ -76,21 +82,21 @@ func (c *recency) Capacity() int64 { return c.capacity }
 func (c *recency) Used() int64 { return c.used }
 
 // Len returns the number of resident blocks.
-func (c *recency) Len() int { return len(c.index) }
+func (c *recency) Len() int { return c.n }
 
 // Stats returns cumulative hit/miss/eviction counters.
 func (c *recency) Stats() (hits, misses, evictions int64) { return c.hits, c.misses, c.evictions }
 
 // Contains reports residency without affecting recency or hit counters.
 func (c *recency) Contains(k Key) bool {
-	_, ok := c.index[k]
-	return ok
+	_, i := c.lookup(k)
+	return i != none
 }
 
 // Get probes the cache, promoting and counting a hit when resident.
 func (c *recency) Get(k Key) (size int64, ok bool) {
-	i, ok := c.index[k]
-	if !ok {
+	_, i := c.lookup(k)
+	if i == none {
 		c.misses++
 		return 0, false
 	}
@@ -100,11 +106,10 @@ func (c *recency) Get(k Key) (size int64, ok bool) {
 	return c.slab[i].size, true
 }
 
-// Remove invalidates a block (the client buffer's hit-then-invalidate
-// semantics). It reports whether the block was resident.
+// Remove invalidates a block. It reports whether the block was resident.
 func (c *recency) Remove(k Key) bool {
-	i, ok := c.index[k]
-	if !ok {
+	_, i := c.lookup(k)
+	if i == none {
 		return false
 	}
 	c.drop(i)
@@ -114,7 +119,7 @@ func (c *recency) Remove(k Key) bool {
 // Keys returns resident keys from most to least recently used (diagnostics
 // and tests).
 func (c *recency) Keys() []Key {
-	out := make([]Key, 0, len(c.index))
+	out := make([]Key, 0, c.n)
 	for i := c.head; i != none; i = c.slab[i].next {
 		out = append(out, c.slab[i].key)
 	}
@@ -127,14 +132,24 @@ func (c *recency) admit(k Key, size int64) bool {
 	if size <= 0 || size > c.capacity {
 		return false
 	}
-	if i, ok := c.index[k]; ok {
+	if c.index == nil {
+		n := min(c.capacity/size+1, maxPresize)
+		c.slab = make([]slot, 0, n)
+		c.index = make([]int32, tableSize(n))
+	}
+	cell, i := c.lookup(k)
+	if i != none {
 		c.used += size - c.slab[i].size
 		c.slab[i].size = size
 		c.unlink(i)
 		c.pushFront(i)
 		return true
 	}
-	i := c.free
+	if 2*(c.n+1) > len(c.index) {
+		c.grow()
+		cell, _ = c.lookup(k)
+	}
+	i = c.free
 	if i != none {
 		c.free = c.slab[i].next
 	} else {
@@ -143,7 +158,8 @@ func (c *recency) admit(k Key, size int64) bool {
 	}
 	c.slab[i] = slot{key: k, size: size}
 	c.pushFront(i)
-	c.index[k] = i
+	c.index[cell] = i + 1
+	c.n++
 	c.used += size
 	return true
 }
@@ -157,10 +173,89 @@ func (c *recency) evict(i int32) {
 // drop unlinks slot i, forgets its key and chains it onto the free list.
 func (c *recency) drop(i int32) {
 	c.unlink(i)
-	delete(c.index, c.slab[i].key)
+	cell, _ := c.lookup(c.slab[i].key)
+	c.unindex(cell)
+	c.n--
 	c.used -= c.slab[i].size
 	c.slab[i].next = c.free
 	c.free = i
+}
+
+// maxPresize caps the first admit's sizing (about 2.5 MB of slab and
+// table), so a huge capacity met by small blocks grows with its working set
+// instead of reserving room for blocks it may never hold.
+const maxPresize = 1 << 16
+
+// tableSize returns the smallest power of two at least twice n.
+func tableSize(n int64) int {
+	size := 2
+	for int64(size) < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// home returns k's preferred cell in a table of the given power-of-two
+// length.
+func home(k Key, length int) int {
+	h := uint64(k.Block) ^ uint64(k.File)*0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return int(h & uint64(length-1))
+}
+
+// lookup returns k's cell and slab index, or the empty cell where k would
+// go and none.
+func (c *recency) lookup(k Key) (cell int, i int32) {
+	if c.index == nil {
+		return 0, none
+	}
+	mask := len(c.index) - 1
+	for cell = home(k, len(c.index)); ; cell = (cell + 1) & mask {
+		v := c.index[cell]
+		if v == 0 {
+			return cell, none
+		}
+		if c.slab[v-1].key == k {
+			return cell, v - 1
+		}
+	}
+}
+
+// unindex empties cell, shifting back every later entry of its probe run
+// that the hole would otherwise cut off from its home cell.
+func (c *recency) unindex(cell int) {
+	mask := len(c.index) - 1
+	for next := (cell + 1) & mask; ; next = (next + 1) & mask {
+		v := c.index[next]
+		if v == 0 {
+			break
+		}
+		h := home(c.slab[v-1].key, len(c.index))
+		if (next-h)&mask >= (next-cell)&mask {
+			c.index[cell] = v
+			cell = next
+		}
+	}
+	c.index[cell] = 0
+}
+
+// grow doubles the index and rehashes every resident block into it.
+func (c *recency) grow() {
+	old := c.index
+	c.index = make([]int32, 2*len(old))
+	mask := len(c.index) - 1
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		cell := home(c.slab[v-1].key, len(c.index))
+		for c.index[cell] != 0 {
+			cell = (cell + 1) & mask
+		}
+		c.index[cell] = v
+	}
 }
 
 func (c *recency) pushFront(i int32) {

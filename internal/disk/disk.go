@@ -137,7 +137,7 @@ type Disk struct {
 	idleGapStart sim.Time
 	wantUp       bool       // spin up again once an in-flight spin-down completes
 	transStart   sim.Time   // start of the in-flight spin transition
-	transEvent   *sim.Event // completion event of the in-flight transition
+	transEvent   sim.Handle // completion event of the in-flight spin-down
 	upSince      sim.Time   // when an upward RPM target became pending
 	shiftTo      int        // speed the in-flight shift lands on
 
@@ -443,7 +443,6 @@ func (d *Disk) SpinDown() error {
 }
 
 func (d *Disk) onStandby(t sim.Time) {
-	d.transEvent = nil
 	d.setState(t, StateStandby, d.params.StandbyPowerW)
 	d.rpm = 0
 	if d.wantUp || d.queue.Len() > 0 {
@@ -459,10 +458,7 @@ func (d *Disk) abortSpinDown(now sim.Time) {
 	if d.state != StateSpinningDown {
 		return
 	}
-	if d.transEvent != nil {
-		d.transEvent.Cancel()
-		d.transEvent = nil
-	}
+	d.transEvent.Cancel()
 	frac := float64(now-d.transStart) / float64(d.params.SpinDownTime)
 	if frac < 0 {
 		frac = 0

@@ -665,3 +665,24 @@ func TestDeferredUpShiftBreaksSaturation(t *testing.T) {
 		t.Fatalf("disk trapped at %d RPM under saturation", d.RPM())
 	}
 }
+
+// TestBreakdownKeysAreEnteredStates pins Breakdown's key set: every state
+// the disk has been charged in, and no other, even though the account
+// holds a total for every state.
+func TestBreakdownKeysAreEnteredStates(t *testing.T) {
+	eng, d := testDisk(t)
+	if err := d.Submit(&Request{Op: OpRead, Sector: 0, Bytes: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	br := d.Energy().Breakdown(eng.Now() + sim.Second)
+	want := []State{StateIdle, StateSeeking, StateTransferring}
+	if len(br) != len(want) {
+		t.Fatalf("Breakdown keys = %v, want %v", br, want)
+	}
+	for _, s := range want {
+		if j, ok := br[s]; !ok || j <= 0 {
+			t.Fatalf("Breakdown[%v] = %v, %v; want positive joules (all: %v)", s, j, ok, br)
+		}
+	}
+}

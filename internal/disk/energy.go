@@ -3,14 +3,17 @@ package disk
 import "sdds/internal/sim"
 
 // EnergyAccount integrates power over virtual time, attributing energy and
-// residence time to each disk state. The disk calls setDraw on every state
+// residence time to each disk state. The disk calls SetDraw on every state
 // or RPM change; the account accumulates P·Δt joules since the last change.
+// Per-state totals live in arrays indexed by State, so the per-change
+// update hashes nothing.
 type EnergyAccount struct {
 	last      sim.Time
 	drawW     float64
 	state     State
-	energyJ   map[State]float64
-	timeBy    map[State]sim.Duration
+	energyJ   [numStates]float64
+	timeBy    [numStates]sim.Duration
+	entered   [numStates]bool // states charged at least once: Breakdown's keys
 	totalJ    float64
 	startTime sim.Time
 }
@@ -18,14 +21,7 @@ type EnergyAccount struct {
 // NewEnergyAccount returns an account beginning at time now in the given
 // state drawing drawW watts.
 func NewEnergyAccount(now sim.Time, state State, drawW float64) *EnergyAccount {
-	return &EnergyAccount{
-		last:      now,
-		drawW:     drawW,
-		state:     state,
-		energyJ:   make(map[State]float64, 8),
-		timeBy:    make(map[State]sim.Duration, 8),
-		startTime: now,
-	}
+	return &EnergyAccount{last: now, drawW: drawW, state: state, startTime: now}
 }
 
 // accrue charges the elapsed interval at the current draw.
@@ -37,6 +33,7 @@ func (a *EnergyAccount) accrue(now sim.Time) {
 	j := a.drawW * dt.Seconds()
 	a.energyJ[a.state] += j
 	a.timeBy[a.state] += dt
+	a.entered[a.state] = true
 	a.totalJ += j
 	a.last = now
 }
@@ -73,12 +70,15 @@ func (a *EnergyAccount) Elapsed(now sim.Time) sim.Duration {
 	return now - a.startTime
 }
 
-// Breakdown returns a copy of the per-state energy map up to now.
+// Breakdown returns the per-state energy up to now, keyed by every state
+// the account has charged.
 func (a *EnergyAccount) Breakdown(now sim.Time) map[State]float64 {
 	a.accrue(now)
 	out := make(map[State]float64, len(a.energyJ))
-	for k, v := range a.energyJ {
-		out[k] = v
+	for s, j := range a.energyJ {
+		if a.entered[s] {
+			out[State(s)] = j
+		}
 	}
 	return out
 }

@@ -21,6 +21,9 @@ const (
 	StateTransferring
 	// StateShiftingRPM: moving between rotational speeds (no service).
 	StateShiftingRPM
+
+	// numStates sizes arrays indexed by State (index 0 is unused).
+	numStates = iota + 1
 )
 
 var stateNames = map[State]string{

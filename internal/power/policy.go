@@ -215,7 +215,7 @@ func (*defaultPolicy) IdleStarted(*disk.Disk, sim.Time)    {}
 type simplePolicy struct {
 	eng           *sim.Engine
 	cfg           Config
-	timer         *sim.Event
+	timer         sim.Handle
 	timeoutFn     sim.Handler // bound once at Attach
 	cooldownUntil sim.Time
 	stats         Stats
@@ -240,25 +240,18 @@ func (p *simplePolicy) IdleStarted(d *disk.Disk, now sim.Time) {
 	if now < p.cooldownUntil {
 		return
 	}
-	p.cancelTimer()
+	p.timer.Cancel()
 	p.timer = p.eng.Schedule(p.cfg.Timeout, "power.simple.timeout", p.timeoutFn)
 }
 
 func (p *simplePolicy) RequestArrived(d *disk.Disk, now sim.Time) {
-	p.cancelTimer()
+	p.timer.Cancel()
 	// A request that lands mid-transition means the spin-down was a
 	// mistake; back off before trying again.
 	if s := d.State(); s == disk.StateSpinningDown || s == disk.StateSpinningUp {
 		p.cooldownUntil = now + p.cfg.Cooldown
 		p.stats.WrongPredictions++
 		p.eng.Probe().Emit(probe.KindWrongPredict, int32(d.ID), int64(now), 0)
-	}
-}
-
-func (p *simplePolicy) cancelTimer() {
-	if p.timer != nil {
-		p.timer.Cancel()
-		p.timer = nil
 	}
 }
 
@@ -274,7 +267,7 @@ type predictivePolicy struct {
 
 	idleStart     sim.Time
 	idling        bool
-	wakeTimer     *sim.Event
+	wakeTimer     sim.Handle
 	wakeFn        sim.Handler // bound once at Attach
 	lastGap       sim.Duration
 	cooldownUntil sim.Time
@@ -337,12 +330,12 @@ func (p *predictivePolicy) IdleStarted(d *disk.Disk, now sim.Time) {
 	if wake < d.Params().SpinDownTime {
 		wake = d.Params().SpinDownTime
 	}
-	p.cancelWake()
+	p.wakeTimer.Cancel()
 	p.wakeTimer = p.eng.Schedule(wake, "power.predictive.wake", p.wakeFn)
 }
 
 func (p *predictivePolicy) RequestArrived(d *disk.Disk, now sim.Time) {
-	p.cancelWake()
+	p.wakeTimer.Cancel()
 	if p.idling {
 		p.idling = false
 		gap := now - p.idleStart
@@ -355,13 +348,6 @@ func (p *predictivePolicy) RequestArrived(d *disk.Disk, now sim.Time) {
 		p.cooldownUntil = now + p.cfg.Cooldown
 		p.stats.WrongPredictions++
 		p.eng.Probe().Emit(probe.KindWrongPredict, int32(d.ID), int64(now), 0)
-	}
-}
-
-func (p *predictivePolicy) cancelWake() {
-	if p.wakeTimer != nil {
-		p.wakeTimer.Cancel()
-		p.wakeTimer = nil
 	}
 }
 
@@ -378,7 +364,7 @@ type historyPolicy struct {
 
 	idleStart sim.Time
 	idling    bool
-	rampTimer *sim.Event
+	rampTimer sim.Handle
 	reviseFn  sim.Handler // bound once at Attach; shared by ramp and revise
 	stats     Stats
 }
@@ -453,7 +439,7 @@ func (p *historyPolicy) engage(d *disk.Disk, pred sim.Duration) {
 		// Already at the floor: nothing deeper to gain, so park until the
 		// next request restores full speed (ends the revision chain — the
 		// event queue must drain at end of run).
-		p.cancelRamp()
+		p.rampTimer.Cancel()
 		return
 	}
 	if target >= params.MaxRPM {
@@ -473,7 +459,7 @@ func (p *historyPolicy) engage(d *disk.Disk, pred sim.Duration) {
 	if lead < elapsed+down {
 		lead = elapsed + down
 	}
-	p.cancelRamp()
+	p.rampTimer.Cancel()
 	p.rampTimer = p.eng.Schedule(lead-elapsed, "power.history.ramp", p.reviseFn)
 }
 
@@ -488,12 +474,12 @@ func (p *historyPolicy) armRevision(d *disk.Disk, pred sim.Duration) {
 	if pred > 30*sim.Minute {
 		return
 	}
-	p.cancelRamp()
+	p.rampTimer.Cancel()
 	p.rampTimer = p.eng.Schedule(pred, "power.history.revise", p.reviseFn)
 }
 
 func (p *historyPolicy) RequestArrived(d *disk.Disk, now sim.Time) {
-	p.cancelRamp()
+	p.rampTimer.Cancel()
 	if p.idling {
 		p.idling = false
 		p.ewma.Observe(float64(now - p.idleStart))
@@ -508,13 +494,6 @@ func (p *historyPolicy) RequestArrived(d *disk.Disk, now sim.Time) {
 	}
 }
 
-func (p *historyPolicy) cancelRamp() {
-	if p.rampTimer != nil {
-		p.rampTimer.Cancel()
-		p.rampTimer = nil
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Staggered multi-speed (Fig. 3(b)): on idleness, drop to the second-fastest
 // speed; every further Timeout of continued idleness, drop another level;
@@ -523,7 +502,7 @@ func (p *historyPolicy) cancelRamp() {
 type staggeredPolicy struct {
 	eng    *sim.Engine
 	cfg    Config
-	timer  *sim.Event
+	timer  sim.Handle
 	stepFn sim.Handler // bound once at Attach
 	stats  Stats
 }
@@ -541,7 +520,7 @@ func (p *staggeredPolicy) Attach(d *disk.Disk) {
 func (p *staggeredPolicy) IdleStarted(d *disk.Disk, _ sim.Time) {
 	// The first step fires only once idleness persists for the detection
 	// timeout; each further step needs another x1 of continued idleness.
-	p.cancelTimer()
+	p.timer.Cancel()
 	p.timer = p.eng.Schedule(p.cfg.Timeout, "power.staggered.first", p.stepFn)
 }
 
@@ -557,12 +536,12 @@ func (p *staggeredPolicy) stepDown(d *disk.Disk) {
 	if err := d.SetTargetRPM(next, false); err != nil {
 		return
 	}
-	p.cancelTimer()
+	p.timer.Cancel()
 	p.timer = p.eng.Schedule(p.cfg.Timeout, "power.staggered.step", p.stepFn)
 }
 
 func (p *staggeredPolicy) RequestArrived(d *disk.Disk, now sim.Time) {
-	p.cancelTimer()
+	p.timer.Cancel()
 	if d.TargetRPM() != d.Params().MaxRPM || d.RPM() != d.Params().MaxRPM {
 		p.stats.WrongPredictions++
 		p.eng.Probe().Emit(probe.KindWrongPredict, int32(d.ID), int64(now), 0)
@@ -572,13 +551,6 @@ func (p *staggeredPolicy) RequestArrived(d *disk.Disk, now sim.Time) {
 		// service, which is the recovery penalty the paper attributes to
 		// this scheme.
 		_ = d.SetTargetRPM(d.Params().MaxRPM, false)
-	}
-}
-
-func (p *staggeredPolicy) cancelTimer() {
-	if p.timer != nil {
-		p.timer.Cancel()
-		p.timer = nil
 	}
 }
 

@@ -5,10 +5,11 @@
 // advances exclusively through this engine, so a run with a fixed seed is
 // exactly reproducible.
 //
-// The hot path is allocation-free in steady state: events scheduled through
-// ScheduleFunc/ScheduleArg are drawn from a per-engine free list and
-// recycled the moment they fire (or are compacted away after cancellation),
-// and the heap is specialized to *Event so no interface boxing occurs.
+// The engine is allocation-free in steady state: every event is drawn from a
+// per-engine free list and recycled the moment it fires (or is dropped after
+// cancellation), and the heap is specialized to *event so no interface
+// boxing occurs. Cancellable timers are Handle values that go stale once
+// the engine reissues their event, so a caller can keep one indefinitely.
 package sim
 
 import (
@@ -60,16 +61,9 @@ type Handler func(now Time)
 // allocation-free.
 type ArgHandler func(now Time, arg any)
 
-// Event is a scheduled callback. It is returned by Schedule so callers can
-// cancel pending events (e.g. a power-policy timeout that a new request
-// obsoletes).
-//
-// Handle-returning schedule calls (Schedule, ScheduleAt) produce retained
-// events that are never recycled, so a stale handle held after the event
-// fired stays inert forever — Cancel on it remains a no-op. Events from the
-// fire-and-forget paths (ScheduleFunc, ScheduleArg) never escape to callers
-// and are returned to the engine's free list on fire/compaction.
-type Event struct {
+// event is one scheduled callback. Events never leave the package: callers
+// that need to cancel one hold a Handle instead.
+type event struct {
 	at        Time
 	seq       uint64
 	fn        Handler
@@ -78,29 +72,48 @@ type Event struct {
 	eng       *Engine
 	queued    bool // still in the heap (cleared on pop/compaction)
 	cancelled bool
-	retained  bool
 	label     string
 }
 
-// At reports the virtual time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
+// Handle refers to an event scheduled through Schedule or ScheduleAt: the
+// event plus the sequence number it was issued with. Once the event fires,
+// or leaves the queue after Cancel, the engine recycles it, and the next
+// schedule call may reissue it under a new sequence number. From then on
+// the handle is stale: Cancel does nothing, At reports 0 and Cancelled
+// false. The zero Handle is stale too, so a caller may keep a handle, or
+// none, as long as it likes.
+type Handle struct {
+	ev  *event
+	seq uint64
+}
 
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancelled }
+// live reports whether h still refers to the event it was issued for.
+func (h Handle) live() bool { return h.ev != nil && h.ev.seq == h.seq }
+
+// At reports the virtual time the event fires (or fired, or would have
+// fired had it not been cancelled).
+func (h Handle) At() Time {
+	if !h.live() {
+		return 0
+	}
+	return h.ev.at
+}
+
+// Cancelled reports whether Cancel stopped the event from firing.
+func (h Handle) Cancelled() bool { return h.live() && h.ev.cancelled }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired (or was already cancelled) is a harmless no-op. The event
-// stays in the queue and is dropped lazily — either when it reaches the
-// heap root or when the engine compacts the queue.
-func (e *Event) Cancel() {
-	if e.cancelled {
+// already fired or been cancelled is a harmless no-op. The event stays in
+// the queue and is dropped lazily — either when it reaches the heap root or
+// when the engine compacts the queue.
+func (h Handle) Cancel() {
+	ev := h.ev
+	if !h.live() || !ev.queued || ev.cancelled {
 		return
 	}
-	e.cancelled = true
-	if e.queued && e.eng != nil {
-		e.eng.cancelledPending++
-		e.eng.maybeCompact()
-	}
+	ev.cancelled = true
+	ev.eng.cancelledPending++
+	ev.eng.maybeCompact()
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -108,7 +121,7 @@ func (e *Event) Cancel() {
 type Engine struct {
 	now     Time
 	queue   []heapEntry
-	free    []*Event
+	free    []*event
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -185,32 +198,27 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // alloc returns an event from the free list (or a fresh one), initialized
 // for the given firing time.
-func (e *Engine) alloc(at Time, label string, retained bool) *Event {
-	var ev *Event
+func (e *Engine) alloc(at Time, label string) *event {
+	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{} //sddsvet:ignore hotalloc -- free-list warm-up: allocates only until the pool reaches steady state
+		ev = &event{eng: e} //sddsvet:ignore hotalloc -- free-list warm-up: allocates only until the pool reaches steady state
 	}
 	e.seq++
 	e.scheduled++
 	ev.at = at
 	ev.seq = e.seq
-	ev.eng = e
 	ev.label = label
-	ev.retained = retained
 	ev.cancelled = false
 	return ev
 }
 
-// recycle returns a popped, non-retained event to the free list. Retained
-// events (whose handles may still be held by callers) are left alone.
-func (e *Engine) recycle(ev *Event) {
-	if ev.retained {
-		return
-	}
+// recycle returns a popped event to the free list. Its seq is kept until
+// alloc reissues it, so a Handle still reads the event's outcome until then.
+func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
@@ -220,41 +228,38 @@ func (e *Engine) recycle(ev *Event) {
 
 // Schedule enqueues fn to run after delay. A negative delay is clamped to
 // zero (fires at the current time, after currently-running handlers). The
-// returned handle can be cancelled; it is never recycled, so keeping it
-// around after the event fires is safe.
-func (e *Engine) Schedule(delay Duration, label string, fn Handler) *Event {
+// returned Handle can cancel the event while it is pending.
+func (e *Engine) Schedule(delay Duration, label string, fn Handler) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.alloc(e.now+delay, label, true)
+	ev := e.alloc(e.now+delay, label)
 	ev.fn = fn
 	e.push(ev)
-	return ev
+	return Handle{ev: ev, seq: ev.seq}
 }
 
 // ScheduleAt enqueues fn to run at absolute time at. It returns ErrPastEvent
 // if at precedes the current clock. Scheduling exactly at the current time is
 // allowed: the event fires after currently-running handlers, ordered by
 // schedule sequence among same-time events.
-func (e *Engine) ScheduleAt(at Time, label string, fn Handler) (*Event, error) {
+func (e *Engine) ScheduleAt(at Time, label string, fn Handler) (Handle, error) {
 	if at < e.now {
-		return nil, fmt.Errorf("%w: at=%v now=%v (%s)", ErrPastEvent, at, e.now, label)
+		return Handle{}, fmt.Errorf("%w: at=%v now=%v (%s)", ErrPastEvent, at, e.now, label)
 	}
-	ev := e.alloc(at, label, true)
+	ev := e.alloc(at, label)
 	ev.fn = fn
 	e.push(ev)
-	return ev, nil
+	return Handle{ev: ev, seq: ev.seq}, nil
 }
 
-// ScheduleFunc enqueues fn to run after delay without returning a handle.
-// The backing event is recycled when it fires, so steady-state scheduling
-// through this path does not allocate. Use it for fire-and-forget work that
-// never needs Cancel.
+// ScheduleFunc enqueues fn to run after delay without returning a handle,
+// for fire-and-forget work that never needs Cancel.
 func (e *Engine) ScheduleFunc(delay Duration, label string, fn Handler) {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.alloc(e.now+delay, label, false)
+	ev := e.alloc(e.now+delay, label)
 	ev.fn = fn
 	e.push(ev)
 }
@@ -268,7 +273,7 @@ func (e *Engine) ScheduleArg(delay Duration, label string, fn ArgHandler, arg an
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.alloc(e.now+delay, label, false)
+	ev := e.alloc(e.now+delay, label)
 	ev.afn = fn
 	ev.arg = arg
 	e.push(ev)
@@ -370,7 +375,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // simultaneous events fire in scheduling order — the property the
 // determinism tests rely on. Heap entries carry the (at, seq) key inline
 // next to the event pointer, so sift comparisons read the contiguous entry
-// array and never dereference an Event; together with specializing away
+// array and never dereference an event; together with specializing away
 // container/heap's any-boxed Push/Pop this removes both the boxing
 // allocation and the cache misses that dominated the seed queue. The 4-ary
 // shape halves sift-down depth, which matters because pops (root
@@ -380,7 +385,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 type heapEntry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 // before orders entries by (at, seq); seq is unique so the order is total.
@@ -392,7 +397,7 @@ func (a heapEntry) before(b heapEntry) bool {
 }
 
 // push appends ev and sifts it up.
-func (e *Engine) push(ev *Event) {
+func (e *Engine) push(ev *event) {
 	ev.queued = true
 	ent := heapEntry{at: ev.at, seq: ev.seq, ev: ev}
 	q := append(e.queue, ent)
@@ -410,7 +415,7 @@ func (e *Engine) push(ev *Event) {
 }
 
 // pop removes and returns the minimum event.
-func (e *Engine) pop() *Event {
+func (e *Engine) pop() *event {
 	q := e.queue
 	top := q[0].ev
 	top.queued = false

@@ -263,7 +263,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 
 func TestPendingExcludesCancelled(t *testing.T) {
 	e := NewEngine(1)
-	evs := make([]*Event, 5)
+	evs := make([]Handle, 5)
 	for i := range evs {
 		evs[i] = e.Schedule(Duration(10+i), "p", func(Time) {})
 	}
@@ -402,8 +402,8 @@ func TestSteadyStateScheduleFireDoesNotAllocate(t *testing.T) {
 
 func TestLazyCancelCompaction(t *testing.T) {
 	e := NewEngine(1)
-	var live []*Event
-	var cancelled []*Event
+	var live []Handle
+	var cancelled []Handle
 	for i := 0; i < 400; i++ {
 		ev := e.Schedule(Duration(1000+i), "c", func(Time) {})
 		if i%4 == 0 {
