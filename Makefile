@@ -88,17 +88,25 @@ trace-smoke:
 		-scale 0.05 -procs 8 -trace "$$tmp/trace.json" >/dev/null && \
 	$(GO) run ./cmd/sddsdiag "$$tmp/trace.json"
 
-# Fault injection end to end: a short injected sweep writes a crash-safe
-# journal, then a -resume rerun reloads every completed run and simulates
-# nothing new — the round-trip that makes killed sweeps restartable.
+# Fault injection end to end: an injected oracle sweep (faulted Default,
+# history-based and oracle runs) writes a crash-safe journal, then a
+# -resume rerun must reload every completed run, append none, and print the
+# same tables apart from wall-clock lines: the round-trip that makes killed
+# sweeps restartable.
 fault-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/sddstables -experiment table3 -scale 0.05 -apps sar,hf \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/sddstables -experiment oracle -scale 0.05 -apps sar,hf \
 		-faults 'read=0.02,net-drop=0.01,stall=0.01,seed=7' \
-		-journal "$$tmp/sweep.journal" -progress=false >/dev/null && \
-	$(GO) run ./cmd/sddstables -experiment table3 -scale 0.05 -apps sar,hf \
+		-journal "$$tmp/sweep.journal" -progress=false >"$$tmp/first.out"; \
+	$(GO) run ./cmd/sddstables -experiment oracle -scale 0.05 -apps sar,hf \
 		-faults 'read=0.02,net-drop=0.01,stall=0.01,seed=7' \
-		-journal "$$tmp/sweep.journal" -resume -progress=false >/dev/null
+		-journal "$$tmp/sweep.journal" -resume -progress=false >"$$tmp/resume.out" 2>"$$tmp/resume.err" || \
+		{ cat "$$tmp/resume.err"; exit 1; }; \
+	cat "$$tmp/resume.err"; \
+	grep -v 'completed in' "$$tmp/first.out" >"$$tmp/first.tables"; \
+	grep -v 'completed in' "$$tmp/resume.out" >"$$tmp/resume.tables"; \
+	diff "$$tmp/first.tables" "$$tmp/resume.tables"; \
+	grep -q ': 0 runs appended' "$$tmp/resume.err"
 
 # Diagnostics capture end to end: a 1ms per-run deadline forces a timeout
 # failure under -capture-dir, then sddsdiag validates the captured bundle

@@ -1,7 +1,8 @@
 // Command sddstables regenerates the tables and figures of the paper's
 // evaluation section. With no flags it runs every experiment at full scale;
 // use --experiment to run one (table2, table3, fig12a..fig14b, cachesens,
-// compile, ablations) and --scale to shrink the workloads for a quick pass.
+// compile, oracle, palru, ablations) and --scale to shrink the workloads
+// for a quick pass.
 //
 // The cluster simulations an experiment needs are planned up front and
 // fanned out over a bounded worker pool (--workers, default GOMAXPROCS);

@@ -64,7 +64,7 @@ type RunFlags struct {
 func (f *RunFlags) Register(fs *flag.FlagSet) {
 	def := cluster.DefaultConfig()
 	fs.StringVar(&f.App, "app", "hf", "application (hf, sar, astro, apsi, madbench2, wupwise)")
-	fs.StringVar(&f.Policy, "policy", "default", "power policy (default, simple, prediction, history, staggered)")
+	fs.StringVar(&f.Policy, "policy", "default", "power policy (default, simple, prediction, history, staggered, oracle)")
 	fs.BoolVar(&f.Scheduling, "scheduling", false, "enable the compiler-directed scheduling framework")
 	fs.Float64Var(&f.Scale, "scale", 1.0, "workload scale factor")
 	fs.IntVar(&f.Procs, "procs", def.Procs, "client (compute) nodes")

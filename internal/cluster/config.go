@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"sdds/internal/compiler"
-	"sdds/internal/disk"
 	"sdds/internal/fault"
 	"sdds/internal/ionode"
 	"sdds/internal/loop"
@@ -33,16 +32,10 @@ type Config struct {
 	Node ionode.Config
 	// Net configures the interconnect.
 	Net netsim.Config
-	// Policy selects the disk power-management mechanism.
+	// Policy selects the disk power-management mechanism. power.KindOracle
+	// runs two passes: the Default Scheme, recording every idle gap, then
+	// the oracle replaying them.
 	Policy power.Config
-	// PolicyFactory, when non-nil, overrides Policy: it is invoked once per
-	// disk to build the power manager (used by the Oracle ablation, which
-	// needs a policy wired to an external hint source).
-	PolicyFactory func(eng *sim.Engine) (power.Policy, error)
-	// ExtraIdleRecorder, when non-nil, additionally receives every idle gap
-	// (the built-in histogram always records); used to capture gap traces
-	// for the Oracle ablation's second pass.
-	ExtraIdleRecorder disk.IdleRecorder
 	// Scheduling enables the paper's framework (compiler pass + runtime
 	// scheduler).
 	Scheduling bool
@@ -88,6 +81,16 @@ type Config struct {
 // internal/store without an import cycle.
 type CompileService interface {
 	CompileContext(ctx context.Context, p *loop.Program, opts compiler.Options) (*compiler.Result, compiler.Provenance, error)
+}
+
+// Compile resolves one compile pass through svc, or compiles inline when
+// svc is nil. Runs and the harness's compile-only experiments share it.
+func Compile(ctx context.Context, svc CompileService, p *loop.Program, opts compiler.Options) (*compiler.Result, compiler.Provenance, error) {
+	if svc != nil {
+		return svc.CompileContext(ctx, p, opts)
+	}
+	res, err := compiler.CompileContext(ctx, p, opts)
+	return res, compiler.ProvCompiled, err
 }
 
 // DefaultConfig returns the Table II system: 32 clients, 8 I/O nodes with

@@ -1,90 +1,48 @@
 package cluster
 
 import (
+	"context"
+	"strings"
 	"testing"
 
-	"sdds/internal/disk"
-	"sdds/internal/metrics"
 	"sdds/internal/power"
-	"sdds/internal/sim"
 )
 
-func TestRunWithPolicyFactory(t *testing.T) {
+// TestOracleRecordsDefaultThenReplays pins the two passes of a
+// policy=oracle run: the record pass is exactly the Default Scheme run of
+// the same setup and config (tracing only observes), and the replay of its
+// gap trace reports KindOracle and spends no more energy than Default.
+func TestOracleRecordsDefaultThenReplays(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
-	built := 0
-	cfg.PolicyFactory = func(eng *sim.Engine) (power.Policy, error) {
-		built++
-		return power.New(eng, power.Config{Kind: power.KindStaggered})
-	}
-	res, err := Run(smallProgram(), cfg)
+	setup, err := NewSetup(smallProgram(), cfg.Procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDisks := cfg.Layout.NumNodes * cfg.Node.Members
-	if built != wantDisks {
-		t.Fatalf("factory built %d policies, want %d (one per disk)", built, wantDisks)
-	}
-	if res.EnergyJ <= 0 {
-		t.Fatal("degenerate result")
-	}
-}
-
-func TestRunWithExtraIdleRecorder(t *testing.T) {
-	cfg := smallConfig()
-	extra := metrics.NewIdleHistogram()
-	cfg.ExtraIdleRecorder = extra
-	res, err := Run(smallProgram(), cfg)
+	base, err := RunPrepared(ctx, setup, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if extra.Count() == 0 {
-		t.Fatal("extra recorder saw no gaps")
-	}
-	if extra.Count() != res.Idle.Count() {
-		t.Fatalf("tee mismatch: extra %d vs built-in %d", extra.Count(), res.Idle.Count())
-	}
-}
-
-func TestRunWithGapTraceAndOracle(t *testing.T) {
-	// Pass 1: record the true gaps under the Default Scheme.
-	cfg := smallConfig()
-	var eng0 *sim.Engine
-	var trace *metrics.GapTrace
-	cfg.PolicyFactory = func(eng *sim.Engine) (power.Policy, error) {
-		if trace == nil {
-			eng0 = eng
-			trace = metrics.NewGapTrace(func() sim.Time { return eng0.Now() })
-		}
-		return power.New(eng, power.Config{Kind: power.KindDefault})
-	}
-	cfg.ExtraIdleRecorder = lateRecorder{&trace}
-	base, err := Run(smallProgram(), cfg)
+	cfg.Policy = power.Config{Kind: power.KindOracle}
+	rec, gaps, err := recordGaps(ctx, setup, cfg.normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace == nil || base.Idle.Count() == 0 {
-		t.Fatal("trace not captured")
+	if got, want := strings.Join(Fingerprint(rec), "\n"), strings.Join(Fingerprint(base), "\n"); got != want {
+		t.Fatalf("record pass diverges from the Default run:\n%s\nvs\n%s", got, want)
 	}
-	// Pass 2: oracle replay must not error and must not use more energy
-	// than the default scheme by more than noise.
-	cfg2 := smallConfig()
-	cfg2.PolicyFactory = func(eng *sim.Engine) (power.Policy, error) {
-		return power.NewOracle(eng, power.Config{}, trace), nil
+	if rec.Policy != power.KindDefault || gaps.Len(0) == 0 {
+		t.Fatalf("record pass: policy %v, %d gaps traced on disk 0", rec.Policy, gaps.Len(0))
 	}
-	orc, err := Run(smallProgram(), cfg2)
+	orc, err := RunPrepared(ctx, setup, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orc.EnergyJ > base.EnergyJ*1.05 {
+	if orc.Policy != power.KindOracle {
+		t.Fatalf("oracle result carries policy %v", orc.Policy)
+	}
+	if orc.EnergyJ > base.EnergyJ {
 		t.Fatalf("oracle used more energy than default: %v vs %v", orc.EnergyJ, base.EnergyJ)
-	}
-}
-
-type lateRecorder struct{ t **metrics.GapTrace }
-
-func (l lateRecorder) RecordIdle(d *disk.Disk, gap sim.Duration) {
-	if *l.t != nil {
-		(*l.t).RecordIdle(d, gap)
 	}
 }
 

@@ -91,7 +91,8 @@ func RunContext(ctx context.Context, prog *loop.Program, cfg Config) (*Result, e
 // program-derived state (instance index, slot metadata) across runs that
 // differ only in runtime knobs. The setup is only read, so one Setup may
 // serve any number of concurrent RunPrepared calls. cfg.Procs must match
-// the setup's process count.
+// the setup's process count. A policy=oracle cfg runs two passes on the
+// setup, recordGaps then the replay, and returns the replay's result.
 func RunPrepared(ctx context.Context, setup *Setup, cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -100,7 +101,31 @@ func RunPrepared(ctx context.Context, setup *Setup, cfg Config) (*Result, error)
 	if cfg.Procs != setup.procs {
 		return nil, fmt.Errorf("cluster: config procs %d does not match setup procs %d", cfg.Procs, setup.procs)
 	}
+	if cfg.Policy.Kind != power.KindOracle {
+		return simulate(ctx, setup, cfg, nil)
+	}
+	_, gaps, err := recordGaps(ctx, setup, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return simulate(ctx, setup, cfg, gaps)
+}
+
+// recordGaps runs the first pass of a policy=oracle run: cfg under the
+// Default Scheme, tracing every idle gap for the oracle to replay.
+func recordGaps(ctx context.Context, setup *Setup, cfg Config) (*Result, *metrics.GapTrace, error) {
+	cfg.Policy = power.Config{Kind: power.KindDefault}
+	gaps := metrics.NewGapTrace()
+	res, err := simulate(ctx, setup, cfg, gaps)
+	return res, gaps, err
+}
+
+// simulate executes one pass of a validated, normalized cfg. gaps is nil
+// except in the passes of a policy=oracle run: the Default Scheme pass
+// records every idle gap into it, and the oracle pass replays them.
+func simulate(ctx context.Context, setup *Setup, cfg Config, gaps *metrics.GapTrace) (*Result, error) {
 	prog := setup.prog
+	oracle := cfg.Policy.Kind == power.KindOracle
 
 	eng := sim.NewEngine(cfg.Seed)
 	// Attach the flight recorder before any model is constructed — models
@@ -115,8 +140,8 @@ func RunPrepared(ctx context.Context, setup *Setup, cfg Config) (*Result, error)
 	// Storage: I/O nodes with per-disk power policies and idle recorders.
 	idle := metrics.NewIdleHistogram()
 	var recorder disk.IdleRecorder = idle
-	if cfg.ExtraIdleRecorder != nil {
-		recorder = teeRecorder{idle, cfg.ExtraIdleRecorder}
+	if gaps != nil && !oracle {
+		recorder = teeRecorder{idle, gaps}
 	}
 	nodes := make([]*ionode.Node, cfg.Layout.NumNodes)
 	var pols []power.Policy
@@ -128,8 +153,8 @@ func RunPrepared(ctx context.Context, setup *Setup, cfg Config) (*Result, error)
 		for _, d := range n.Disks() {
 			var pol power.Policy
 			var err error
-			if cfg.PolicyFactory != nil {
-				pol, err = cfg.PolicyFactory(eng)
+			if oracle {
+				pol = power.NewOracle(eng, gaps)
 			} else {
 				pol, err = power.New(eng, cfg.Policy)
 			}
@@ -179,15 +204,9 @@ func RunPrepared(ctx context.Context, setup *Setup, cfg Config) (*Result, error)
 	var compileProv compiler.Provenance
 	if cfg.Scheduling {
 		compileSpan := cfg.Probe.StartSpan(probe.TrackRun, "compile "+prog.Name)
-		var comp *compiler.Result
-		var err error
-		if cfg.CompileCache != nil {
-			comp, compileProv, err = cfg.CompileCache.CompileContext(ctx, prog, cfg.Compiler)
-		} else {
-			comp, err = compiler.CompileContext(ctx, prog, cfg.Compiler)
-			compileProv = compiler.ProvCompiled
-		}
+		comp, prov, err := Compile(ctx, cfg.CompileCache, prog, cfg.Compiler)
 		compileSpan.End()
+		compileProv = prov
 		if err != nil {
 			return nil, err
 		}
@@ -654,7 +673,8 @@ func (ex *executor) maxFinish() sim.Time {
 	return max
 }
 
-// teeRecorder fans idle gaps out to two recorders.
+// teeRecorder fans idle gaps out to two recorders (the histogram and an
+// oracle run's gap trace).
 type teeRecorder struct {
 	a, b disk.IdleRecorder
 }

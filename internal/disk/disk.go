@@ -203,6 +203,9 @@ func MustNew(eng *sim.Engine, id int, p Params) *Disk {
 // Params returns the disk's configuration.
 func (d *Disk) Params() Params { return d.params }
 
+// Now returns the simulated time of the disk's engine.
+func (d *Disk) Now() sim.Time { return d.eng.Now() }
+
 // State returns the current power/activity state.
 func (d *Disk) State() State { return d.state }
 

@@ -8,10 +8,9 @@ import (
 	"sdds/internal/cluster"
 	"sdds/internal/compiler"
 	"sdds/internal/core"
-	"sdds/internal/disk"
+	"sdds/internal/loop"
 	"sdds/internal/metrics"
 	"sdds/internal/power"
-	"sdds/internal/sim"
 	"sdds/internal/workloads"
 )
 
@@ -356,7 +355,9 @@ func compileCost(ctx context.Context, s *Session, c Config) (*Result, error) {
 // ablations quantifies the design choices of §IV-B on the scheduling
 // algorithm itself (no cluster simulation): processing order, σ weights,
 // and the vertical reuse range, measured by packed node-slot activations
-// (lower = tighter grouping).
+// (lower = tighter grouping). Each app's program is built once, and every
+// compile resolves like a run's, so the paper row shares the compile of
+// the app's scheme-on runs.
 func ablations(ctx context.Context, s *Session, c Config) (*Result, error) {
 	type variant struct {
 		name   string
@@ -370,22 +371,25 @@ func ablations(ctx context.Context, s *Session, c Config) (*Result, error) {
 		{"delta=0 (horizontal only)", func(o *compiler.Options) { o.Delta = 0 }},
 		{"coalesced d=8 (Sec. IV-A)", func(o *compiler.Options) { o.CoalesceD = 8 }},
 	}
+	progs := make([]*loop.Program, len(c.Apps))
+	for i, app := range c.Apps {
+		spec, err := workloads.ByName(app)
+		if err != nil {
+			return nil, err
+		}
+		progs[i] = spec.Build(c.Scale)
+	}
 	headers := []string{"Variant"}
 	headers = append(headers, c.Apps...)
 	rows := make([][]string, 0, len(variants))
 	for _, v := range variants {
 		row := []string{v.name}
-		for _, app := range c.Apps {
-			spec, err := workloads.ByName(app)
-			if err != nil {
-				return nil, err
-			}
-			prog := spec.Build(c.Scale)
+		for _, prog := range progs {
 			opts := compiler.DefaultOptions(32)
 			if v.mutate != nil {
 				v.mutate(&opts)
 			}
-			res, err := compiler.CompileContext(ctx, prog, opts)
+			res, _, err := cluster.Compile(ctx, s.compileService(), prog, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -397,60 +401,33 @@ func ablations(ctx context.Context, s *Session, c Config) (*Result, error) {
 		Headers: headers, Rows: rows}, nil
 }
 
-// planOracle plans the history-based pass of the oracle comparison (its
-// trace-recording and replay passes are stateful and run inline).
+// planOracle plans the Default Scheme and history-based runs the oracle
+// table compares against.
 func planOracle(c Config) []Request {
-	out := make([]Request, 0, len(c.Apps))
+	out := planBaselines(c)
 	for _, app := range c.Apps {
 		out = append(out, c.request(app, power.KindHistory, false, ""))
 	}
 	return out
 }
 
-// oracle compares the history-based policy against an oracle multi-speed
-// policy fed the true idle lengths recorded in a first pass — an upper
-// bound on what better prediction could buy (ablation beyond the paper).
-// The trace-recording and replay passes are coupled through shared state,
-// so they bypass the run cache and execute inline, each on the Default
-// Scheme run's cluster config (faults included) with the policy swapped.
+// oracle compares the history-based policy against policy=oracle: the
+// multi-speed mechanism fed the true idle lengths of a Default Scheme
+// pass — an upper bound on what better prediction could buy (ablation
+// beyond the paper). Every column is a session run.
 func oracle(ctx context.Context, s *Session, c Config) (*Result, error) {
 	headers := []string{"App", "default (J)", "history (J)", "oracle (J)", "history saving", "oracle saving"}
 	rows := make([][]string, 0, len(c.Apps))
 	for _, app := range c.Apps {
-		baseReq := c.request(app, power.KindDefault, false, "")
-		// Pass 1: Default Scheme, recording the gap trace.
-		prog, cfg, err := baseReq.BuildRun()
+		base, err := runOne(ctx, s, c, app, power.KindDefault, false)
 		if err != nil {
 			return nil, err
 		}
-		var trace *metrics.GapTrace
-		var eng0 *sim.Engine // captured by the factory below
-		cfg.PolicyFactory = func(eng *sim.Engine) (power.Policy, error) {
-			if trace == nil {
-				eng0 = eng
-				trace = metrics.NewGapTrace(func() sim.Time { return eng0.Now() })
-			}
-			return power.New(eng, power.Config{Kind: power.KindDefault})
-		}
-		cfg.ExtraIdleRecorder = traceHolder{&trace}
-		base, err := cluster.RunContext(ctx, prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Pass 2a: history (cache-resolved; also in the experiment plan).
 		hist, err := runOne(ctx, s, c, app, power.KindHistory, false)
 		if err != nil {
 			return nil, err
 		}
-		// Pass 2b: oracle replaying the recorded gaps.
-		progO, cfgO, err := baseReq.BuildRun()
-		if err != nil {
-			return nil, err
-		}
-		cfgO.PolicyFactory = func(eng *sim.Engine) (power.Policy, error) {
-			return power.NewOracle(eng, power.Config{}, trace), nil
-		}
-		orc, err := cluster.RunContext(ctx, progO, cfgO)
+		orc, err := runOne(ctx, s, c, app, power.KindOracle, false)
 		if err != nil {
 			return nil, err
 		}
@@ -465,16 +442,6 @@ func oracle(ctx context.Context, s *Session, c Config) (*Result, error) {
 	}
 	return &Result{ID: "oracle", Title: "Oracle prediction upper bound (ablation)",
 		Headers: headers, Rows: rows}, nil
-}
-
-// traceHolder defers recorder resolution until the trace exists (the
-// factory creates it on first use).
-type traceHolder struct{ t **metrics.GapTrace }
-
-func (h traceHolder) RecordIdle(d *disk.Disk, gap sim.Duration) {
-	if *h.t != nil {
-		(*h.t).RecordIdle(d, gap)
-	}
 }
 
 // planPALRU plans the LRU (default config) and PA-LRU (variant) runs under

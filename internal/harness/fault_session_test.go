@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"sdds/internal/cluster"
 	"sdds/internal/fault"
 	"sdds/internal/power"
 )
@@ -336,34 +336,45 @@ func TestJournalRoundTripPreservesResult(t *testing.T) {
 	}
 }
 
-// TestOracleHonorsFaults asserts the oracle's inline passes run on the
-// same cluster config as the cached runs: under injected faults, every
-// "default (J)" cell equals the Default Scheme energy of the same Config
-// (table3's baseline) at the table's rounding.
+// TestOracleHonorsFaults asserts a faulted policy=oracle request runs its
+// record and replay passes under the faults: the session result differs
+// from the fault-free request's and equals a direct BuildRun +
+// cluster.RunContext run of the same request.
 func TestOracleHonorsFaults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three cluster passes per app")
+		t.Skip("six cluster passes")
 	}
-	e, err := ByID("oracle")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	c := faultyTiny().withDefaults()
+	req := c.request(c.Apps[0], power.KindOracle, false, "")
 	s := NewSession(SessionOptions{})
-	res, err := s.Run(context.Background(), e, c)
+	faulted, _, err := s.run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(c.Apps) {
-		t.Fatalf("%d rows, want %d", len(res.Rows), len(c.Apps))
+	clean, _, err := s.run(ctx, tiny().withDefaults().request(c.Apps[0], power.KindOracle, false, ""))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, app := range c.Apps {
-		base, err := runOne(context.Background(), s, c, app, power.KindDefault, false)
+	prog, cfg, err := req.BuildRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := cluster.RunContext(ctx, prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(res *cluster.Result) string {
+		buf, err := json.Marshal(NewRunRecord(res))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := res.Rows[i][1], fmt.Sprintf("%.0f", base.EnergyJ); got != want {
-			t.Errorf("%s: oracle default (J) = %s, Default Scheme run = %s", app, got, want)
-		}
+		return string(buf)
+	}
+	if faulted.Faults == nil || record(faulted) == record(clean) {
+		t.Fatal("the faulted oracle request ran as if fault-free")
+	}
+	if got, want := record(faulted), record(direct); got != want {
+		t.Fatalf("session oracle run diverges from the direct run:\nsession: %s\ndirect:  %s", got, want)
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 // TestGapTraceNotSharedAcrossRuns backs the lock-free contract documented
 // on metrics.GapTrace: RecordIdle runs without a mutex because every
-// Oracle ablation builds a private trace for its own record/replay pass
-// pair. The oracle experiment is the only production GapTrace user, so we
-// run it from several goroutines at once — each through its own session so
-// nothing is deduplicated away — and let the race detector prove that no
-// trace ever crosses between concurrently executing runs. A regression
+// policy=oracle run builds a private trace for its own record/replay pass
+// pair. The oracle experiment runs those requests, so we run it from
+// several goroutines at once — each through its own session so nothing is
+// deduplicated away — and let the race detector prove that no trace ever
+// crosses between concurrently executing runs. A regression
 // that hoisted the trace into shared state (or replayed one while another
 // run still records into it) shows up here as a data race.
 func TestGapTraceNotSharedAcrossRuns(t *testing.T) {

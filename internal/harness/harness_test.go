@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"testing"
@@ -152,6 +154,35 @@ func TestOracleExperimentTiny(t *testing.T) {
 	res := runExperiment(t, "oracle", Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 6 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestOracleAndAblationsTablesPinned holds the rendered oracle and
+// ablations tables, with and without faults, to the bytes they had when
+// the oracle's two passes and the ablation compiles ran outside the
+// session (inline cluster runs and compiles at render time).
+func TestOracleAndAblationsTablesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three cluster runs per app and config")
+	}
+	want := map[string]string{
+		"oracle":           "37a824cdba74ffe84b352489f4534fafb2b0347bd8639a43674f1d43f4990106",
+		"oracle+faults":    "b170eba917087ecf346e2642e66674278bf6867bb06c230dd688b2743df9310f",
+		"ablations":        "2c3d6efe85788682d004f5c0b5fd5684a715a32d0592100402bb3248a155fe67",
+		"ablations+faults": "2c3d6efe85788682d004f5c0b5fd5684a715a32d0592100402bb3248a155fe67",
+	}
+	for _, id := range []string{"oracle", "ablations"} {
+		for _, c := range []Config{tiny(), faultyTiny()} {
+			name := id
+			if c.Faults != nil {
+				name += "+faults"
+			}
+			out := runExperiment(t, id, c).Render()
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != want[name] {
+				t.Errorf("%s: rendered table hashes to %s, want %s\n%s", name, got, want[name], out)
+			}
+		}
 	}
 }
 

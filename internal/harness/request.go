@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +33,9 @@ type Request struct {
 	// App names one of the six Table III applications.
 	App string `json:"app"`
 	// Policy is the power policy name ("default", "simple",
-	// "prediction-based", "history-based", "staggered"; short forms accepted
-	// and canonicalized by Normalize).
+	// "prediction-based", "history-based", "staggered", or "oracle": the
+	// multi-speed mechanism replaying the true idle gaps of a Default Scheme
+	// pass; short forms accepted and canonicalized by Normalize).
 	Policy string `json:"policy,omitempty"`
 	// Scheduling enables the compiler-directed scheduling framework.
 	Scheduling bool `json:"scheduling,omitempty"`
@@ -56,7 +58,7 @@ type Request struct {
 // suggestions when parsing fails.
 var policyNames = []string{
 	"default", "simple", "prediction", "prediction-based",
-	"history", "history-based", "staggered",
+	"history", "history-based", "staggered", "oracle",
 }
 
 // Normalize returns the request in canonical form: defaults applied,
@@ -169,8 +171,8 @@ func (r Request) Tag() string {
 // workload program and the fully-derived cluster config — the Table II
 // defaults, the request's policy, scheme, seed and faults, then the
 // variant's mutation. It is the one translation from the canonical
-// request model to cluster.RunContext arguments: the session's workers,
-// the oracle's inline passes and direct runners (sddsim) all share it.
+// request model to cluster.RunContext arguments: the session's workers
+// and direct runners (sddsim) share it.
 func (r Request) BuildRun() (*loop.Program, cluster.Config, error) {
 	r, err := r.Normalize()
 	if err != nil {
@@ -229,10 +231,10 @@ func parseVariantElem(field string) (variantElem, error) {
 	key = strings.TrimSpace(key)
 	val = strings.TrimSpace(val)
 	def := cluster.DefaultConfig()
-	intVal := func() (int, error) {
+	intVal := func(min int) (int, error) {
 		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("harness: variant %s=%q: want a non-negative integer", key, val)
+		if err != nil || n < min {
+			return 0, fmt.Errorf("harness: variant %s=%q: want an integer ≥ %d", key, val, min)
 		}
 		return n, nil
 	}
@@ -245,7 +247,7 @@ func parseVariantElem(field string) (variantElem, error) {
 			cfg.Node.PowerAwareCache = true
 		}}, nil
 	case "procs":
-		n, err := intVal()
+		n, err := intVal(1)
 		if err != nil {
 			return variantElem{}, err
 		}
@@ -256,7 +258,7 @@ func parseVariantElem(field string) (variantElem, error) {
 			cfg.Procs = n
 		}}, nil
 	case "nodes":
-		n, err := intVal()
+		n, err := intVal(1)
 		if err != nil {
 			return variantElem{}, err
 		}
@@ -268,7 +270,7 @@ func parseVariantElem(field string) (variantElem, error) {
 			cfg.Net.NumNodes = n
 		}}, nil
 	case "delta":
-		n, err := intVal()
+		n, err := intVal(0)
 		if err != nil {
 			return variantElem{}, err
 		}
@@ -279,7 +281,7 @@ func parseVariantElem(field string) (variantElem, error) {
 			cfg.Compiler.Delta = n
 		}}, nil
 	case "theta":
-		n, err := intVal()
+		n, err := intVal(0)
 		if err != nil {
 			return variantElem{}, err
 		}
@@ -316,7 +318,7 @@ func parseCacheBytes(val string) (int64, error) {
 		s, mb = cut, true
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || mb && n > math.MaxInt64>>20 {
 		return 0, fmt.Errorf("harness: variant cache=%q: want bytes or an MB size like 32MB", val)
 	}
 	if mb {
@@ -381,8 +383,9 @@ func canonVariant(tag string) (string, error) {
 }
 
 // ParseVariant resolves a variant tag into the cluster-config mutation it
-// denotes (nil for the empty tag). Supported elements: procs=N, nodes=N,
-// delta=N, theta=N (0 = unbounded), cache=SIZE (bytes or "32MB"), and the
+// denotes (nil for the empty tag). Supported elements: procs=N and
+// nodes=N (N ≥ 1), delta=N, theta=N (0 = unbounded), cache=SIZE (bytes or
+// "32MB"), and the
 // bare flag pacache (power-aware storage-cache replacement).
 func ParseVariant(tag string) (func(*cluster.Config), error) {
 	elems, err := parseVariantElems(tag)

@@ -41,18 +41,37 @@ func TestRequestNormalizeCanonicalizesPolicy(t *testing.T) {
 // TestRequestNormalizeRejects pins the validation failures.
 func TestRequestNormalizeRejects(t *testing.T) {
 	cases := []Request{
-		{},                                       // no app
-		{App: "nosuch"},                          // unknown app
-		{App: "sar", Scale: -1},                  // negative scale
-		{App: "sar", Variant: "thetaa=8"},        // unknown variant key
-		{App: "sar", Variant: "theta=-3"},        // bad variant value
-		{App: "sar", Faults: "nonsense"},         // bad fault spec
-		{App: "sar", TimeoutMS: -5},              // negative timeout
-		{App: "sar", Variant: "theta=8,theta=8"}, // repeated key
+		{},                                             // no app
+		{App: "nosuch"},                                // unknown app
+		{App: "sar", Scale: -1},                        // negative scale
+		{App: "sar", Variant: "thetaa=8"},              // unknown variant key
+		{App: "sar", Variant: "theta=-3"},              // bad variant value
+		{App: "sar", Faults: "nonsense"},               // bad fault spec
+		{App: "sar", TimeoutMS: -5},                    // negative timeout
+		{App: "sar", Variant: "theta=8,theta=8"},       // repeated key
+		{App: "sar", Variant: "cache=9000000000000MB"}, // MB size overflowing int64
 	}
 	for _, r := range cases {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%+v validated, want error", r)
+		}
+	}
+}
+
+// TestVariantRejectsEmptyCluster pins that procs and nodes must be at
+// least 1 in the variant grammar, so a zero-sized cluster fails Normalize
+// with an error naming the key instead of failing the run, while delta=0
+// and theta=0 (horizontal only, unbounded) stay valid.
+func TestVariantRejectsEmptyCluster(t *testing.T) {
+	for _, key := range []string{"procs", "nodes"} {
+		_, err := Request{App: "sar", Variant: key + "=0"}.Normalize()
+		if err == nil || !strings.Contains(err.Error(), key+"=") {
+			t.Errorf("%s=0: Normalize error %v, want one naming %s", key, err, key)
+		}
+	}
+	for _, v := range []string{"delta=0", "theta=0"} {
+		if _, err := (Request{App: "sar", Variant: v}).Normalize(); err != nil {
+			t.Errorf("%s: %v", v, err)
 		}
 	}
 }
@@ -182,4 +201,39 @@ func TestSessionRunRequest(t *testing.T) {
 	if !out3.hit {
 		t.Fatal("plan-driven run of the same config missed the request's cache slot")
 	}
+}
+
+// FuzzRequestNormalize decodes arbitrary bytes as request JSON. Whenever
+// Normalize accepts the request, its normal form is a fixed point with
+// stable keys, its policy round-trips through power.ParseKind, and BuildRun
+// yields a config cluster.Config.Validate accepts: an accepted request
+// never fails only once its run starts.
+func FuzzRequestNormalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req Request
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		n, err := req.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := n.Normalize()
+		if err != nil || again != n {
+			t.Fatalf("normalizing %+v again gave %+v, %v", n, again, err)
+		}
+		if again.Key() != n.Key() || again.ContentKey() != n.ContentKey() {
+			t.Fatalf("keys drifted: %s vs %s", again.Key(), n.Key())
+		}
+		if kind, err := power.ParseKind(n.Policy); err != nil || kind.String() != n.Policy {
+			t.Fatalf("policy %q parses to %v, %v", n.Policy, kind, err)
+		}
+		_, cfg, err := n.BuildRun()
+		if err != nil {
+			t.Fatalf("BuildRun(%+v): %v", n, err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("BuildRun(%+v) config: %v", n, err)
+		}
+	})
 }

@@ -36,9 +36,7 @@ func (s *Session) simulate(ctx context.Context, req Request) (*cluster.Result, e
 		return nil, err
 	}
 	cfg.Probe = s.probe
-	if s.compileCache != nil {
-		cfg.CompileCache = s.compileCache
-	}
+	cfg.CompileCache = s.compileService()
 	key := setupKey{app: req.App, scale: req.Scale, procs: cfg.Procs}
 	setup, _, err := s.setups.Do(ctx, key, func() (*cluster.Setup, error) {
 		return cluster.NewSetup(prog, key.procs)
@@ -240,6 +238,15 @@ func NewSession(o SessionOptions) *Session {
 		o.Journal.each(func(req Request, res *cluster.Result) { s.runs.Seed(req, cachedRun{res, true}) })
 	}
 	return s
+}
+
+// compileService is the session's compile service for cluster.Compile: its
+// compile cache, or nil (compile inline) when the cache is disabled.
+func (s *Session) compileService() cluster.CompileService {
+	if s.compileCache == nil {
+		return nil
+	}
+	return s.compileCache
 }
 
 // CompileCacheStats snapshots the session's compile-cache counters; the

@@ -79,15 +79,14 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestGapTraceRecordAndReplay(t *testing.T) {
-	now := sim.Time(0)
-	tr := NewGapTrace(func() sim.Time { return now })
+	tr := NewGapTrace()
 	eng := sim.NewEngine(1)
 	d := disk.MustNew(eng, 3, disk.DefaultParams())
 
 	// Gap of 10s ending at t=30s (started at 20s) and 50s ending at 100s.
-	now = 30 * sim.Second
+	eng.RunUntil(30 * sim.Second)
 	tr.RecordIdle(d, 10*sim.Second)
-	now = 100 * sim.Second
+	eng.RunUntil(100 * sim.Second)
 	tr.RecordIdle(d, 50*sim.Second)
 
 	if tr.Len(3) != 2 {
@@ -107,14 +106,13 @@ func TestGapTraceRecordAndReplay(t *testing.T) {
 }
 
 func TestGapTraceNearestStartMatching(t *testing.T) {
-	now := sim.Time(0)
-	tr := NewGapTrace(func() sim.Time { return now })
+	tr := NewGapTrace()
 	eng := sim.NewEngine(1)
 	d := disk.MustNew(eng, 0, disk.DefaultParams())
 	// Gaps starting at 10s and 100s.
-	now = 20 * sim.Second
+	eng.RunUntil(20 * sim.Second)
 	tr.RecordIdle(d, 10*sim.Second)
-	now = 130 * sim.Second
+	eng.RunUntil(130 * sim.Second)
 	tr.RecordIdle(d, 30*sim.Second)
 	// Query at 40s: nearest start is 10s (dist 30) vs 100s (dist 60).
 	if g, _ := tr.NextIdle(0, 40*sim.Second); g != 10*sim.Second {

@@ -13,13 +13,12 @@ import (
 //
 // Concurrency contract: a GapTrace is single-goroutine, like the engine it
 // observes. RecordIdle is called only from the engine loop of the recording
-// run, and NextIdle/Len only after that run has finished (the Oracle replay
-// is a separate, later run). The harness never shares one GapTrace across
-// concurrent runs — each Oracle ablation builds its own pair of passes —
-// so the hot path needs no lock (it used to take a mutex per idle gap;
+// pass, and NextIdle/Len only after that pass has finished (the Oracle
+// replay is a separate, later pass). Each policy=oracle run builds its own
+// trace for its own pair of passes (cluster.RunPrepared), so the hot path
+// needs no lock (it used to take a mutex per idle gap;
 // TestGapTraceNotSharedAcrossRuns keeps the contract honest under -race).
 type GapTrace struct {
-	now  func() sim.Time
 	gaps map[int][]TracedGap
 }
 
@@ -29,16 +28,15 @@ type TracedGap struct {
 	Gap   sim.Duration
 }
 
-// NewGapTrace returns a trace using now() to timestamp recordings (pass
-// the engine's Now).
-func NewGapTrace(now func() sim.Time) *GapTrace {
-	return &GapTrace{now: now, gaps: make(map[int][]TracedGap)}
+// NewGapTrace returns an empty trace.
+func NewGapTrace() *GapTrace {
+	return &GapTrace{gaps: make(map[int][]TracedGap)}
 }
 
 // RecordIdle implements disk.IdleRecorder: the gap ended now, so it began
 // at now − gap. Engine goroutine only.
 func (t *GapTrace) RecordIdle(d *disk.Disk, gap sim.Duration) {
-	t.gaps[d.ID] = append(t.gaps[d.ID], TracedGap{Start: t.now() - gap, Gap: gap})
+	t.gaps[d.ID] = append(t.gaps[d.ID], TracedGap{Start: d.Now() - gap, Gap: gap})
 }
 
 var _ disk.IdleRecorder = (*GapTrace)(nil)

@@ -26,6 +26,10 @@ const (
 	// KindStaggered (multi-speed) steps down one RPM level per continued
 	// idle interval and ramps back to full speed when a request arrives.
 	KindStaggered
+	// KindOracle (multi-speed) replays the true idle lengths of a recorded
+	// Default Scheme pass: an upper bound on prediction, not a §II policy.
+	// cluster.RunPrepared runs both passes; New cannot build it.
+	KindOracle
 )
 
 var kindNames = map[Kind]string{
@@ -34,6 +38,7 @@ var kindNames = map[Kind]string{
 	KindPredictive: "prediction-based",
 	KindHistory:    "history-based",
 	KindStaggered:  "staggered",
+	KindOracle:     "oracle",
 }
 
 // String returns the policy name used in the paper's figures.
@@ -68,6 +73,8 @@ func ParseKind(s string) (Kind, error) {
 		return KindHistory, nil
 	case "staggered":
 		return KindStaggered, nil
+	case "oracle":
+		return KindOracle, nil
 	}
 	return 0, fmt.Errorf("power: unknown policy %q", s)
 }
@@ -142,8 +149,6 @@ type StatsReporter interface {
 // listener by Attach.
 type Policy interface {
 	disk.Listener
-	// Kind returns the mechanism this policy implements.
-	Kind() Kind
 	// Attach binds the policy to its disk and installs the listener.
 	Attach(d *disk.Disk)
 }
@@ -204,7 +209,6 @@ func BreakEvenIdle(p disk.Params) sim.Duration {
 
 type defaultPolicy struct{}
 
-func (*defaultPolicy) Kind() Kind                          { return KindDefault }
 func (*defaultPolicy) Attach(d *disk.Disk)                 { d.SetListener(nil) }
 func (*defaultPolicy) RequestArrived(*disk.Disk, sim.Time) {}
 func (*defaultPolicy) IdleStarted(*disk.Disk, sim.Time)    {}
@@ -220,8 +224,6 @@ type simplePolicy struct {
 	cooldownUntil sim.Time
 	stats         Stats
 }
-
-func (p *simplePolicy) Kind() Kind { return KindSimple }
 
 func (p *simplePolicy) PolicyStats() Stats { return p.stats }
 
@@ -273,8 +275,6 @@ type predictivePolicy struct {
 	cooldownUntil sim.Time
 	stats         Stats
 }
-
-func (p *predictivePolicy) Kind() Kind { return KindPredictive }
 
 func (p *predictivePolicy) PolicyStats() Stats { return p.stats }
 
@@ -368,8 +368,6 @@ type historyPolicy struct {
 	reviseFn  sim.Handler // bound once at Attach; shared by ramp and revise
 	stats     Stats
 }
-
-func (p *historyPolicy) Kind() Kind { return KindHistory }
 
 func (p *historyPolicy) PolicyStats() Stats { return p.stats }
 
@@ -507,8 +505,6 @@ type staggeredPolicy struct {
 	stats  Stats
 }
 
-func (p *staggeredPolicy) Kind() Kind { return KindStaggered }
-
 func (p *staggeredPolicy) PolicyStats() Stats { return p.stats }
 
 func (p *staggeredPolicy) Attach(d *disk.Disk) {
@@ -555,9 +551,9 @@ func (p *staggeredPolicy) RequestArrived(d *disk.Disk, now sim.Time) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle: a wrapper that receives the true length of each idle period from
-// an external hint source (a previous run's trace). Used by the ablation
-// benchmarks to bound how much better perfect prediction could do.
+// Oracle: a multi-speed policy that receives the true length of each idle
+// period from an external hint source (a previous pass's trace). It runs as
+// policy=oracle to bound how much better perfect prediction could do.
 
 // HintSource supplies the true upcoming idle length at each idle start.
 type HintSource interface {
@@ -569,9 +565,7 @@ type HintSource interface {
 // Oracle is a History-style multi-speed policy driven by perfect hints.
 type Oracle struct {
 	eng    *sim.Engine
-	cfg    Config
 	hints  HintSource
-	margin float64
 	rampFn sim.Handler // bound once at Attach
 	stats  Stats
 }
@@ -580,14 +574,9 @@ type Oracle struct {
 func (o *Oracle) PolicyStats() Stats { return o.stats }
 
 // NewOracle returns an oracle policy using hints for idle lengths.
-func NewOracle(eng *sim.Engine, cfg Config, hints HintSource) *Oracle {
-	cfg = cfg.withDefaults()
-	return &Oracle{eng: eng, cfg: cfg, hints: hints, margin: 1.0}
+func NewOracle(eng *sim.Engine, hints HintSource) *Oracle {
+	return &Oracle{eng: eng, hints: hints}
 }
-
-// Kind reports KindHistory: the oracle is the history mechanism with a
-// perfect predictor.
-func (o *Oracle) Kind() Kind { return KindHistory }
 
 // Attach installs the oracle as the disk's listener.
 func (o *Oracle) Attach(d *disk.Disk) {
@@ -612,7 +601,7 @@ func (o *Oracle) IdleStarted(d *disk.Disk, now sim.Time) {
 	best := params.MaxRPM
 	for rpm := params.MaxRPM; rpm >= params.MinRPM; rpm -= params.RPMStep { // Params.Levels without the slice
 		roundTrip := params.RPMShiftTime(params.MaxRPM, rpm) + params.RPMShiftTime(rpm, params.MaxRPM)
-		if float64(roundTrip)*o.margin <= float64(gap) {
+		if roundTrip <= gap {
 			best = rpm
 		}
 	}

@@ -49,7 +49,7 @@ func fireStep(t *testing.T, eng *sim.Engine, d *disk.Disk) {
 }
 
 func TestKindString(t *testing.T) {
-	for _, k := range AllKinds() {
+	for _, k := range append(AllKinds(), KindOracle) {
 		if k.String() == "invalid" {
 			t.Errorf("kind %d has no name", k)
 		}
@@ -69,6 +69,10 @@ func TestKindString(t *testing.T) {
 func TestNewRejectsInvalidKind(t *testing.T) {
 	if _, err := New(sim.NewEngine(1), Config{Kind: Kind(42)}); err == nil {
 		t.Fatal("New accepted invalid kind")
+	}
+	// The oracle needs a recorded gap trace, which only NewOracle takes.
+	if _, err := New(sim.NewEngine(1), Config{Kind: KindOracle}); err == nil {
+		t.Fatal("New built an oracle without a trace")
 	}
 }
 
@@ -410,14 +414,11 @@ func (h fixedHints) NextIdle(int, sim.Time) (sim.Duration, bool) { return h.gap,
 func TestOracleUsesHints(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := disk.MustNew(eng, 0, disk.DefaultParams())
-	o := NewOracle(eng, Config{}, fixedHints{gap: 60 * sim.Second})
+	o := NewOracle(eng, fixedHints{gap: 60 * sim.Second})
 	o.Attach(d)
 	fireStep(t, eng, d)
 	if d.TargetRPM() != d.Params().MinRPM {
 		t.Fatalf("oracle with 60 s hint targeted %d RPM, want min", d.TargetRPM())
-	}
-	if o.Kind() != KindHistory {
-		t.Fatalf("oracle Kind = %v", o.Kind())
 	}
 }
 

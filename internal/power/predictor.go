@@ -1,7 +1,7 @@
 // Package power implements the disk power-management mechanisms evaluated in
 // the paper (§II): the Simple and Prediction-Based spin-down policies, the
 // History-Based and Staggered multi-speed policies, plus a Default (no
-// management) policy and an Oracle wrapper used for ablations. A policy
+// management) policy and the Oracle upper bound (policy=oracle). A policy
 // instance attaches to exactly one disk and drives it through the
 // disk.Listener hooks and control methods, scheduling its own timers on the
 // shared event engine.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"sdds/internal/cluster"
 	"sdds/internal/harness"
 	"sdds/internal/workloads"
 )
@@ -137,6 +138,8 @@ func TestServiceRunValidation(t *testing.T) {
 		`{"app":"nosuch"}`,                   // unknown app
 		`{"app":"sar","policy":"histroy"}`,   // policy typo
 		`{"app":"sar","variant":"thetaa=8"}`, // variant typo
+		`{"app":"sar","variant":"nodes=0"}`,  // no I/O nodes
+		`{"app":"sar","variant":"procs=0"}`,  // no client nodes
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
@@ -147,6 +150,92 @@ func TestServiceRunValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+	// Rejected requests never reach the session: nothing ran, nothing failed.
+	var st StatusResponse
+	if code := getJSON(t, ts.URL+"/v1/status", &st); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if st.Simulated != 0 || st.CacheEntries != 0 {
+		t.Fatalf("status after rejected requests = %+v", st)
+	}
+	var doc DoctorResponse
+	getJSON(t, ts.URL+"/v1/doctor", &doc)
+	if !strings.Contains(doc.Metrics, "sddsd_runs_failed 0") {
+		t.Fatalf("rejected requests counted as failed runs:\n%s", doc.Metrics)
+	}
+}
+
+// TestOracleRequestAgreesAcrossRoutes sends one faulted policy=oracle
+// request down every route that executes requests — BuildRun +
+// cluster.RunContext, a cold session, a session resumed from the cold
+// one's journal, and sddsd's POST /v1/runs — and requires byte-identical
+// RunRecord JSON from all four.
+func TestOracleRequestAgreesAcrossRoutes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three oracle runs of two passes each")
+	}
+	ctx := context.Background()
+	req := harness.Request{App: "sar", Policy: "oracle", Scale: 0.02, Seed: 3,
+		Faults: "read=0.02,net-drop=0.01,stall=0.01,seed=7"}
+	record := func(route string, res *cluster.Result) string {
+		buf, err := json.Marshal(harness.NewRunRecord(res))
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		return string(buf)
+	}
+
+	prog, cfg, err := req.BuildRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.RunContext(ctx, prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Policy.String() != "oracle" || res.Faults == nil {
+		t.Fatalf("direct run: policy %v, faults %v", res.Policy, res.Faults)
+	}
+	want := record("direct", res)
+
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	for _, resume := range []bool{false, true} {
+		j, err := harness.OpenJournal(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := harness.NewSession(harness.SessionOptions{Journal: j})
+		res, hit, err := sess.RunRequest(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSims := int64(1)
+		if resume {
+			wantSims = 0 // served from the journal
+		}
+		if simulated, _ := sess.Stats(); hit != resume || simulated != wantSims {
+			t.Fatalf("resume=%v: hit %v after %d simulations", resume, hit, simulated)
+		}
+		if got := record("session", res); got != want {
+			t.Errorf("resume=%v: session record diverges\nsession: %s\ndirect:  %s", resume, got, want)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, ts := newTestServer(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
+	var got RunResponse
+	if code := postJSON(t, ts.URL+"/v1/runs", req, &got); code != http.StatusOK || got.Result == nil {
+		t.Fatalf("POST /v1/runs: status %d (%s)", code, got.Error)
+	}
+	buf, err := json.Marshal(*got.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != want {
+		t.Errorf("sddsd record diverges\nsddsd:  %s\ndirect: %s", buf, want)
 	}
 }
 

@@ -142,6 +142,7 @@ const (
 	PolicyPredictive = power.KindPredictive
 	PolicyHistory    = power.KindHistory
 	PolicyStaggered  = power.KindStaggered
+	PolicyOracle     = power.KindOracle // upper bound: replays a Default Scheme pass's true idle gaps
 )
 
 // NewScheduler validates params and returns a data access scheduler.
