@@ -13,6 +13,9 @@ import (
 // as it grows and as LRU churn leaves it full of deleted entries.
 func TestStorageGeometryAllocatesOnce(t *testing.T) {
 	const capacity, block = 64 << 20, 64 << 10
+	// MemStats counts every goroutine's allocations: hold one P across the
+	// windows, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pal, err := NewPALRU(capacity, func(k Key) bool { return k.Block%3 != 0 }, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func NewSetup(prog *loop.Program, procs int) (*Setup, error) {
 		return nil, err
 	}
 	s := &Setup{prog: prog, procs: procs, slots: prog.Slots(procs)}
-	s.buildIOIndex(prog.Instances(procs))
+	s.buildIOIndex()
 	s.buildSlotMeta()
 	return s, nil
 }
@@ -52,24 +52,24 @@ func (s *Setup) Program() *loop.Program { return s.prog }
 func (s *Setup) Procs() int { return s.procs }
 
 // buildIOIndex builds the flat instance index with a counting sort keyed
-// by (proc, slot); Instances' statement order within a (proc, slot) pair
-// is preserved.
-func (s *Setup) buildIOIndex(insts []loop.IOInstance) {
+// by (proc, slot) over two EachInstance passes; the statement order within
+// a (proc, slot) pair is preserved.
+func (s *Setup) buildIOIndex() {
 	cells := s.procs * s.slots
 	s.ioOff = make([]int32, cells+1)
-	for _, in := range insts {
+	s.prog.EachInstance(s.procs, func(in loop.IOInstance) {
 		s.ioOff[in.Proc*s.slots+in.Slot+1]++
-	}
+	})
 	for k := 0; k < cells; k++ {
 		s.ioOff[k+1] += s.ioOff[k]
 	}
-	s.ioFlat = make([]loop.IOInstance, len(insts))
+	s.ioFlat = make([]loop.IOInstance, s.ioOff[cells])
 	cur := make([]int32, cells)
-	for _, in := range insts {
+	s.prog.EachInstance(s.procs, func(in loop.IOInstance) {
 		k := in.Proc*s.slots + in.Slot
 		s.ioFlat[s.ioOff[k]+cur[k]] = in
 		cur[k]++
-	}
+	})
 }
 
 func (s *Setup) buildSlotMeta() {

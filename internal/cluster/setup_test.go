@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,29 @@ func TestRunPreparedProcsMismatch(t *testing.T) {
 	cfg.Procs = cfg.Procs * 2
 	if _, err := RunPrepared(context.Background(), setup, cfg); err == nil {
 		t.Fatal("procs mismatch accepted")
+	}
+}
+
+// NewSetup builds its I/O index from two passes over the program's
+// instances, so its allocations do not grow with the instance count.
+func TestNewSetupAllocsIndependentOfScale(t *testing.T) {
+	// The process's first collection allocates its mark workers; run it
+	// before measuring so it cannot land inside one scale's window.
+	runtime.GC()
+	procs := DefaultConfig().Procs
+	for _, spec := range workloads.All() {
+		var allocs [2]float64
+		for i, scale := range []float64{0.02, 0.15} {
+			prog := spec.Build(scale)
+			allocs[i] = testing.AllocsPerRun(3, func() {
+				if _, err := NewSetup(prog, procs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: NewSetup made %v allocations at scale 0.02 and %v at 0.15, want equal", spec.Name, allocs[0], allocs[1])
+		}
 	}
 }
 

@@ -64,8 +64,8 @@ type SlackRecord struct {
 
 // Artifact is the serializable mirror of a compile Result: the analyzed
 // slacks plus the schedule's (access, point) assignments. Everything else
-// in a Result — accesses, signatures, instance index, per-process tables —
-// is a deterministic function of (slacks, assignments, program, options)
+// in a Result — accesses, signatures, per-process tables — is a
+// deterministic function of (slacks, assignments, program, options)
 // and is rebuilt by Restore, which keeps the artifact small and leaves
 // exactly one code path constructing scheduler inputs. Wall-clock compile
 // time is deliberately excluded: artifacts are content-addressed and must
@@ -114,10 +114,11 @@ func (r *Result) Artifact() *Artifact {
 
 // Restore rebuilds a full compile Result from the artifact under the same
 // (program, options) that produced it. The slacks are rehydrated from the
-// artifact; accesses, signatures, the instance index and the schedule are
-// rebuilt through the same helpers the live compile pass uses, so a
-// restored result drives a bit-identical simulation. CompileTime is the
-// wall-clock cost of the restore itself.
+// artifact and must be strictly ascending in (slot, proc, nest, stmt), as
+// the analyses emit them; accesses, signatures and the schedule are rebuilt
+// through the same helpers the live compile pass uses, so a restored result
+// drives a bit-identical simulation. CompileTime is the wall-clock cost of
+// the restore itself.
 func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
 	start := time.Now() //sddsvet:ignore detflow -- wall-clock restore cost for CompileTime reporting, never feeds simulated results
 	if a.Version != ArtifactVersion {
@@ -156,12 +157,16 @@ func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
 			End:        s.End,
 			WriterSlot: s.WriterSlot,
 		}
+		// AccessFor binary-searches the slacks.
+		if i > 0 && compareInstance(slacks[i-1], slacks[i].Inst) >= 0 {
+			return nil, fmt.Errorf("compiler: artifact slack %d: not after slack %d in (slot, proc, nest, stmt) order", i, i-1)
+		}
 	}
 
 	numSlots := p.Slots(opts.Procs)
 	d := coalesceFactor(opts)
 	coalesced := (numSlots + d - 1) / d
-	accesses, byInst := buildAccesses(slacks, opts, d)
+	accesses := buildAccesses(slacks, opts, d)
 	params := schedParams(opts, coalesced)
 
 	// The schedule's points live in full-resolution slots (Rescale output
@@ -172,6 +177,10 @@ func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
 		scheduleParams.NumSlots = numSlots
 	}
 	assigns := make([]core.ScheduledAccess, len(a.Points))
+	var anchored []core.Access
+	if d > 1 {
+		anchored = make([]core.Access, len(a.Points))
+	}
 	for i, pt := range a.Points {
 		if pt.ID < 0 || pt.ID >= len(accesses) {
 			return nil, fmt.Errorf("compiler: artifact point references access %d of %d", pt.ID, len(accesses))
@@ -179,11 +188,9 @@ func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
 		acc := accesses[pt.ID]
 		if d > 1 {
 			begin, end := fullSlack(slacks[pt.ID], opts)
-			fa := *acc
-			fa.Begin = begin
-			fa.End = end
-			fa.Orig = end
-			acc = &fa
+			anchored[i] = *acc
+			anchored[i].Begin, anchored[i].End, anchored[i].Orig = begin, end, end
+			acc = &anchored[i]
 		}
 		assigns[i] = core.ScheduledAccess{Access: acc, Point: pt.Point}
 	}
@@ -201,7 +208,6 @@ func (a *Artifact) Restore(p *loop.Program, opts Options) (*Result, error) {
 		CompileTime:  time.Since(start), //sddsvet:ignore detflow -- wall-clock restore cost for CompileTime reporting, never feeds simulated results
 		procs:        opts.Procs,
 		params:       params,
-		accessByInst: byInst,
 	}, nil
 }
 
@@ -251,9 +257,7 @@ func EquivalentResults(a, b *Result) error {
 			return fmt.Errorf("compiler: proc %d table length %d vs %d", aProcs[i], len(at), len(bt))
 		}
 		for j := range at {
-			if at[j].Slot != bt[j].Slot || at[j].AccessID != bt[j].AccessID ||
-				at[j].Orig != bt[j].Orig || at[j].Length != bt[j].Length ||
-				!at[j].Sig.Equal(bt[j].Sig) {
+			if at[j] != bt[j] {
 				return fmt.Errorf("compiler: proc %d table entry %d differs", aProcs[i], j)
 			}
 		}

@@ -7,9 +7,11 @@
 package compiler
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sdds/internal/core"
@@ -88,16 +90,12 @@ func (o Options) Validate() error {
 	return o.Layout.Validate()
 }
 
-// instKey identifies one dynamic I/O instance.
-type instKey struct {
-	proc, slot, nest, stmt int
-}
-
 // Result is a finished compilation.
 type Result struct {
 	// Program is the compiled program.
 	Program *loop.Program
-	// Slacks holds the analyzed read slacks, index-aligned with Accesses.
+	// Slacks holds the analyzed read slacks, index-aligned with Accesses,
+	// strictly ascending in (slot, proc, nest, stmt).
 	Slacks []loop.Slack
 	// Accesses are the scheduler inputs (ID = index).
 	Accesses []*core.Access
@@ -110,9 +108,8 @@ type Result struct {
 	// artifact restore, for results rehydrated from the compile cache).
 	CompileTime time.Duration
 
-	procs        int
-	params       core.Params
-	accessByInst map[instKey]int
+	procs  int
+	params core.Params
 }
 
 // coalesceFactor normalizes CoalesceD: 0 and 1 both mean no coalescing.
@@ -135,12 +132,14 @@ func fullSlack(s loop.Slack, opts Options) (begin, end int) {
 }
 
 // buildAccesses converts analyzed slacks into scheduler inputs (ID =
-// index) plus the dynamic-instance index. It is shared between the live
-// compile pass and the artifact restore path so both derive identical
-// accesses from identical slacks.
-func buildAccesses(slacks []loop.Slack, opts Options, d int) ([]*core.Access, map[instKey]int) {
-	accesses := make([]*core.Access, 0, len(slacks))
-	byInst := make(map[instKey]int, len(slacks))
+// index): the accesses live in one slab and their signatures share one
+// word array. It is shared between the live compile pass and the artifact
+// restore path so both derive identical accesses from identical slacks.
+func buildAccesses(slacks []loop.Slack, opts Options, d int) []*core.Access {
+	slab := make([]core.Access, len(slacks))
+	accesses := make([]*core.Access, len(slacks))
+	w := stripe.Words(opts.Layout.NumNodes)
+	words := make([]uint64, len(slacks)*w)
 	for i, s := range slacks {
 		length := 1
 		if opts.SlotBytes > 0 && s.Inst.Length > opts.SlotBytes {
@@ -151,19 +150,18 @@ func buildAccesses(slacks []loop.Slack, opts Options, d int) ([]*core.Access, ma
 			length = (length + d - 1) / d
 		}
 		begin, end := fullSlack(s, opts)
-		a := &core.Access{
+		slab[i] = core.Access{
 			ID:     i,
 			Proc:   s.Inst.Proc,
 			Begin:  begin / d,
 			End:    end / d,
 			Length: length,
-			Sig:    opts.Layout.SignatureFor(s.Inst.Offset, s.Inst.Length),
+			Sig:    opts.Layout.SignatureInto(words[i*w:], s.Inst.Offset, s.Inst.Length),
 			Orig:   end / d,
 		}
-		accesses = append(accesses, a)
-		byInst[instKey{s.Inst.Proc, s.Inst.Slot, s.Inst.Nest, s.Inst.Stmt}] = i
+		accesses[i] = &slab[i]
 	}
-	return accesses, byInst
+	return accesses
 }
 
 // schedParams derives the scheduler parameters from the options and the
@@ -223,7 +221,7 @@ func CompileContext(ctx context.Context, p *loop.Program, opts Options) (*Result
 	numSlots := p.Slots(opts.Procs)
 	d := coalesceFactor(opts)
 	coalesced := (numSlots + d - 1) / d
-	accesses, byInst := buildAccesses(slacks, opts, d)
+	accesses := buildAccesses(slacks, opts, d)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -254,14 +252,21 @@ func CompileContext(ctx context.Context, p *loop.Program, opts Options) (*Result
 		CompileTime:  time.Since(start), //sddsvet:ignore detflow -- wall-clock compile cost for CompileTime reporting, never feeds simulated results
 		procs:        opts.Procs,
 		params:       params,
-		accessByInst: byInst,
 	}, nil
 }
 
-// AccessFor maps a dynamic read instance back to its access id.
+// AccessFor maps a dynamic read instance back to its access id by binary
+// search of the slacks.
 func (r *Result) AccessFor(inst loop.IOInstance) (int, bool) {
-	id, ok := r.accessByInst[instKey{inst.Proc, inst.Slot, inst.Nest, inst.Stmt}]
-	return id, ok
+	return slices.BinarySearchFunc(r.Slacks, inst, compareInstance)
+}
+
+// compareInstance orders a slack's instance against inst by (slot, proc,
+// nest, stmt), the order of Result.Slacks.
+func compareInstance(s loop.Slack, inst loop.IOInstance) int {
+	x := s.Inst
+	return cmp.Or(cmp.Compare(x.Slot, inst.Slot), cmp.Compare(x.Proc, inst.Proc),
+		cmp.Compare(x.Nest, inst.Nest), cmp.Compare(x.Stmt, inst.Stmt))
 }
 
 // WriterSlotOf returns the producer slot of an access (-1 when the data

@@ -55,6 +55,19 @@ func (a *Access) LatestStart() int {
 	return s
 }
 
+// checkPoint reports why point cannot be the access's scheduling point, or
+// nil: the point must lie in the slack, and an access that fits its slack
+// must not overrun the slack's end.
+func (a *Access) checkPoint(point int) error {
+	if point < a.Begin || point > a.End {
+		return fmt.Errorf("core: access %d scheduled at %d outside slack [%d,%d]", a.ID, point, a.Begin, a.End)
+	}
+	if point+a.Length-1 > a.End && a.Length <= a.SlackLen() {
+		return fmt.Errorf("core: access %d (len %d) at %d overruns slack end %d", a.ID, a.Length, point, a.End)
+	}
+	return nil
+}
+
 // Validate reports the first problem with the access, or nil.
 func (a *Access) Validate(numSlots, numNodes int) error {
 	switch {

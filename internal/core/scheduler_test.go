@@ -78,7 +78,7 @@ func TestAccessValidate(t *testing.T) {
 }
 
 // TestNewScheduleFromAssignmentsRejects checks the restored assignments
-// that cannot index a schedule.
+// that cannot index a schedule or that Validate would reject.
 func TestNewScheduleFromAssignmentsRejects(t *testing.T) {
 	p := Params{NumSlots: 10, NumNodes: 4}
 	acc := func(id, proc int) *Access {
@@ -94,6 +94,8 @@ func TestNewScheduleFromAssignmentsRejects(t *testing.T) {
 		{[]ScheduledAccess{{Access: acc(3, 0), Point: -1}}, "access 3: point -1 outside 10 slots"},
 		{[]ScheduledAccess{{Access: acc(3, 0), Point: 10}}, "access 3: point 10 outside 10 slots"},
 		{[]ScheduledAccess{{Access: acc(3, 0), Point: 1}, {Access: acc(3, 1), Point: 2}}, "duplicate assignment for access 3"},
+		{[]ScheduledAccess{{Access: acc(3, 0), Point: 6}}, "access 3 scheduled at 6 outside slack [0,5]"},
+		{[]ScheduledAccess{{Access: &Access{ID: 2, Begin: 0, End: 5, Length: 3, Sig: sig4(0), Orig: 5}, Point: 4}}, "access 2 (len 3) at 4 overruns slack end 5"},
 	} {
 		if _, err := NewScheduleFromAssignments(p, c.assigns); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("case %d: NewScheduleFromAssignments = %v, want an error containing %q", i, err, c.want)

@@ -10,12 +10,12 @@ import (
 
 // Entry is one row of a process's scheduling table: at slot Slot, issue the
 // access identified by AccessID (whose original program point was Orig).
+// The access's signature stays on the Access.
 type Entry struct {
 	Slot     int
 	AccessID int
 	Orig     int
 	Length   int
-	Sig      stripe.Signature
 }
 
 // Schedule is the output of the scheduler: the scheduling point of every
@@ -72,7 +72,6 @@ func (s *Schedule) finalize() {
 			AccessID: id,
 			Orig:     a.Orig,
 			Length:   a.Length,
-			Sig:      a.Sig,
 		})
 	}
 	for _, t := range s.tables {
@@ -157,13 +156,10 @@ func (s *Schedule) Validate() (ValidationReport, error) {
 	counts := make(map[int]map[int]int) // slot → node → count
 	var nodes []int                     // reused per access: ascending node list
 	for _, as := range s.Assignments() {
-		id, point := as.ID, as.Point
-		a := s.access[id]
-		if point < a.Begin || point > a.End {
-			return rep, fmt.Errorf("core: access %d scheduled at %d outside slack [%d,%d]", id, point, a.Begin, a.End)
-		}
-		if point+a.Length-1 > a.End && a.Length <= a.SlackLen() {
-			return rep, fmt.Errorf("core: access %d (len %d) at %d overruns slack end %d", id, a.Length, point, a.End)
+		point := as.Point
+		a := s.access[as.ID]
+		if err := a.checkPoint(point); err != nil {
+			return rep, err
 		}
 		nodes = a.Sig.AppendNodes(nodes[:0])
 		for k := 0; k < a.Length; k++ {
@@ -269,9 +265,10 @@ type ScheduledAccess struct {
 // NewScheduleFromAssignments rebuilds a schedule from serialized
 // assignments. Each element must carry the access re-anchored into the
 // same slot space the points are expressed in (full resolution after
-// Rescale). The rebuild uses the same assign+finalize path as the
-// scheduler itself, so a rebuilt schedule is bit-identical to the
-// original — the property the artifact round-trip pin asserts.
+// Rescale), and each point must pass Validate's slack check. The rebuild
+// uses the same assign+finalize path as the scheduler itself, so a rebuilt
+// schedule is bit-identical to the original — the property the artifact
+// round-trip pin asserts.
 func NewScheduleFromAssignments(p Params, assigns []ScheduledAccess) (*Schedule, error) {
 	ids, procs := 0, 0
 	for _, sa := range assigns {
@@ -285,6 +282,9 @@ func NewScheduleFromAssignments(p Params, assigns []ScheduledAccess) (*Schedule,
 			return nil, fmt.Errorf("core: access %d: negative proc %d", a.ID, a.Proc)
 		case sa.Point < 0 || sa.Point >= p.NumSlots:
 			return nil, fmt.Errorf("core: access %d: point %d outside %d slots", a.ID, sa.Point, p.NumSlots)
+		}
+		if err := a.checkPoint(sa.Point); err != nil {
+			return nil, err
 		}
 		ids, procs = max(ids, a.ID+1), max(procs, a.Proc+1)
 	}

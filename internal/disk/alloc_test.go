@@ -11,6 +11,9 @@ import (
 // warm, SpinDown (which arms the standby completion) followed by
 // abortSpinDown (which cancels it and spins back up) allocates nothing.
 func TestAbortedSpinDownAllocatesNothing(t *testing.T) {
+	// MemStats counts every goroutine's allocations: hold one P across the
+	// window, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	eng, d := testDisk(t)
 	cycle := func() {
 		if err := d.SpinDown(); err != nil {

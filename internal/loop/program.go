@@ -254,22 +254,34 @@ type IOInstance struct {
 	Length int64
 }
 
-// Instances enumerates every I/O instance of the program for the given
-// process count, in (nest, slot, proc, stmt) order — the canonical total
-// enumeration shared by the profiler and the executor.
+// Instances returns every I/O instance of the program for the given process
+// count, in EachInstance's order, in one exactly sized slice.
 func (p *Program) Instances(procs int) []IOInstance {
-	var out []IOInstance
-	for ni, n := range p.Nests {
-		base := p.NestSlotOffset(procs, ni)
+	n := 0
+	p.EachInstance(procs, func(IOInstance) { n++ })
+	out := make([]IOInstance, 0, n)
+	p.EachInstance(procs, func(in IOInstance) { out = append(out, in) })
+	return out
+}
+
+// EachInstance calls fn for every I/O instance of the program for the
+// given process count, in (nest, slot, proc, stmt) order — the canonical
+// total enumeration shared by the slack analyses and the executor. Nests
+// own disjoint ascending slot ranges, so the order is also (slot, proc,
+// nest, stmt). It allocates nothing.
+func (p *Program) EachInstance(procs int, fn func(IOInstance)) {
+	base := 0
+	for ni := range p.Nests {
+		n := &p.Nests[ni]
 		chunk := n.chunk(procs)
 		for k := 0; k < chunk; k++ {
-			slot := base + k
 			for proc := 0; proc < procs; proc++ {
 				iter, ok := p.IterOf(procs, ni, proc, k)
 				if !ok {
 					continue
 				}
-				for si, s := range n.Body {
+				for si := range n.Body {
+					s := &n.Body[si]
 					if s.Kind == StmtCompute || !s.runsAt(iter) {
 						continue
 					}
@@ -277,15 +289,15 @@ func (p *Program) Instances(procs int) []IOInstance {
 					if length <= 0 {
 						continue
 					}
-					out = append(out, IOInstance{
-						Proc: proc, Slot: slot, Nest: ni, Stmt: si,
+					fn(IOInstance{
+						Proc: proc, Slot: base + k, Nest: ni, Stmt: si,
 						Kind: s.Kind, File: s.File, Offset: off, Length: length,
 					})
 				}
 			}
 		}
+		base += chunk
 	}
-	return out
 }
 
 // Slack is a read instance together with its analyzed slack window

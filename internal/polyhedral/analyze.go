@@ -10,7 +10,6 @@ package polyhedral
 
 import (
 	"fmt"
-	"sort"
 
 	"sdds/internal/loop"
 )
@@ -62,12 +61,19 @@ func Analyze(p *loop.Program, procs int) ([]loop.Slack, error) {
 		}
 	}
 
-	var out []loop.Slack
 	byFile := indexWrites(p, writes)
-
-	for _, inst := range p.Instances(procs) {
+	reads := 0
+	p.EachInstance(procs, func(inst loop.IOInstance) {
+		if inst.Kind == loop.StmtRead {
+			reads++
+		}
+	})
+	// EachInstance's (nest, slot, proc, stmt) order is already the
+	// (slot, proc, nest, stmt) order the profiler sorts into.
+	out := make([]loop.Slack, 0, reads)
+	p.EachInstance(procs, func(inst loop.IOInstance) {
 		if inst.Kind != loop.StmtRead {
-			continue
+			return
 		}
 		w := lastWriter(byFile[inst.File], procs, inst)
 		begin := 0
@@ -78,19 +84,6 @@ func Analyze(p *loop.Program, procs int) ([]loop.Slack, error) {
 			begin = inst.Slot
 		}
 		out = append(out, loop.Slack{Inst: inst, Begin: begin, End: inst.Slot, WriterSlot: w})
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		x, y := out[a].Inst, out[b].Inst
-		if x.Slot != y.Slot {
-			return x.Slot < y.Slot
-		}
-		if x.Proc != y.Proc {
-			return x.Proc < y.Proc
-		}
-		if x.Nest != y.Nest {
-			return x.Nest < y.Nest
-		}
-		return x.Stmt < y.Stmt
 	})
 	return out, nil
 }

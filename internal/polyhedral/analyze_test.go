@@ -1,7 +1,9 @@
 package polyhedral
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +11,7 @@ import (
 	"sdds/internal/loop"
 	"sdds/internal/sim"
 	"sdds/internal/trace"
+	"sdds/internal/workloads"
 )
 
 func TestFloorCeilDiv(t *testing.T) {
@@ -110,35 +113,59 @@ func randomAffineProgram(rng *rand.Rand) *loop.Program {
 	return p
 }
 
+// matchesProfiler reports the first difference between Analyze and the
+// profiling tool on p, or a slack out of (slot, proc, nest, stmt) order.
+func matchesProfiler(p *loop.Program, procs int) error {
+	want, err := trace.Profile(p, procs)
+	if err != nil {
+		return err
+	}
+	got, err := Analyze(p, procs)
+	if err != nil {
+		return err
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("%d slacks, profiler %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("mismatch at %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+		if i > 0 {
+			x, y := got[i-1].Inst, got[i].Inst
+			if cmp.Or(cmp.Compare(x.Slot, y.Slot), cmp.Compare(x.Proc, y.Proc),
+				cmp.Compare(x.Nest, y.Nest), cmp.Compare(x.Stmt, y.Stmt)) >= 0 {
+				return fmt.Errorf("slack %d %+v not after slack %d %+v", i, y, i-1, x)
+			}
+		}
+	}
+	return nil
+}
+
 // TestPropertyMatchesProfiler is the package's key correctness property:
-// on any affine program the closed-form analysis must produce exactly the
-// slacks the profiling tool derives by execution.
+// on any affine program, and on the six workload applications, the
+// closed-form analysis must produce exactly the slacks the profiling tool
+// derives by execution, strictly ascending in (slot, proc, nest, stmt).
 func TestPropertyMatchesProfiler(t *testing.T) {
 	f := func(seed int64, procsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomAffineProgram(rng)
 		procs := int(procsRaw%7) + 1
-		want, err := trace.Profile(p, procs)
-		if err != nil {
+		if err := matchesProfiler(p, procs); err != nil {
+			t.Logf("seed=%d procs=%d: %v", seed, procs, err)
 			return false
-		}
-		got, err := Analyze(p, procs)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Logf("seed=%d procs=%d mismatch at %d:\n got %+v\nwant %+v", seed, procs, i, got[i], want[i])
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+	for _, spec := range workloads.All() {
+		for _, procs := range []int{7, 32} {
+			if err := matchesProfiler(spec.Build(0.02), procs); err != nil {
+				t.Errorf("%s procs=%d: %v", spec.Name, procs, err)
+			}
+		}
 	}
 }
 

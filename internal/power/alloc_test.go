@@ -14,6 +14,9 @@ import (
 // drop or step) before the next request. It checks AllocsPerRun and the
 // Mallocs total over 10k cycles.
 func TestPolicyCycleAllocatesNothing(t *testing.T) {
+	// MemStats counts every goroutine's allocations: hold one P across the
+	// windows, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, kind := range ManagedKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			eng, d, p := newRig(t, kind)

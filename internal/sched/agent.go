@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"sdds/internal/core"
 	"sdds/internal/pool"
@@ -38,14 +37,17 @@ type LocalClock interface {
 // scheduling table (only the entries moved earlier than their original
 // points) and issues prefetches into the shared global buffer.
 type Agent struct {
-	proc    int
+	proc int
+	// table is the schedule's own table, read in place and never written:
+	// every run of one compile shares it.
 	table   []core.Entry
 	resolve func(accessID int) (AccessInfo, bool)
 	fetcher Fetcher
 	buf     *GlobalBuffer
 	clock   LocalClock
 
-	next      int // first table index not yet issued
+	next      int // first table index not yet issued or skipped
+	pending   int // moved entries at or after next
 	localSlot int
 
 	issued, skippedFull, deferredWriter int64
@@ -64,24 +66,28 @@ type fetch struct {
 	doneFn func(now sim.Time, ok bool)
 }
 
-// NewAgent builds the agent for proc from its full scheduling table; the
-// agent keeps only entries scheduled earlier than their original point
+// NewAgent builds the agent for proc over its full scheduling table, which
+// must be in slot order. The agent reads the table in place, never writes
+// it, and acts only on entries scheduled earlier than their original point
 // (§III: "the scheduler only performs data accesses scheduled at much
 // earlier iterations than their original points").
 func NewAgent(proc int, table []core.Entry, resolve func(int) (AccessInfo, bool), fetcher Fetcher, buf *GlobalBuffer, clock LocalClock) (*Agent, error) {
 	if resolve == nil || fetcher == nil || buf == nil || clock == nil {
 		return nil, fmt.Errorf("sched: agent %d: nil dependency", proc)
 	}
-	moved := make([]core.Entry, 0, len(table))
-	for _, e := range table {
-		if e.Slot < e.Orig {
-			moved = append(moved, e)
+	pending := 0
+	for i, e := range table {
+		if i > 0 && e.Slot < table[i-1].Slot {
+			return nil, fmt.Errorf("sched: agent %d: table entry %d at slot %d follows slot %d", proc, i, e.Slot, table[i-1].Slot)
+		}
+		if moved(e) {
+			pending++
 		}
 	}
-	sort.SliceStable(moved, func(i, j int) bool { return moved[i].Slot < moved[j].Slot })
 	a := &Agent{
 		proc:    proc,
-		table:   moved,
+		table:   table,
+		pending: pending,
 		resolve: resolve,
 		fetcher: fetcher,
 		buf:     buf,
@@ -90,6 +96,10 @@ func NewAgent(proc int, table []core.Entry, resolve func(int) (AccessInfo, bool)
 	a.fetches = pool.New(a.newFetch)
 	return a, nil
 }
+
+// moved reports whether e is scheduled before its original point, the only
+// entries an agent prefetches.
+func moved(e core.Entry) bool { return e.Slot < e.Orig }
 
 // newFetch grows the fetch pool.
 func (a *Agent) newFetch() *fetch {
@@ -126,8 +136,9 @@ func (a *Agent) Stats() (issued, skippedFull, deferredWriter int64) {
 // Always zero without fault injection.
 func (a *Agent) FetchAborts() int64 { return a.fetchAborts }
 
-// PendingEntries returns how many table entries have not been issued yet.
-func (a *Agent) PendingEntries() int { return len(a.table) - a.next }
+// PendingEntries returns how many moved table entries have not been issued
+// or dropped yet.
+func (a *Agent) PendingEntries() int { return a.pending }
 
 // AdvanceTo records that the agent's process reached local slot `slot` and
 // pumps the table. It is also the hook other agents' progress re-triggers
@@ -160,18 +171,22 @@ func (a *Agent) Pump(now sim.Time) {
 	due := a.clock.MinSlot() + dueLead
 	for a.next < len(a.table) {
 		e := a.table[a.next]
+		if !moved(e) {
+			a.next++
+			continue
+		}
 		if e.Slot > due {
 			return // not due yet
 		}
 		info, ok := a.resolve(e.AccessID)
 		if !ok {
-			a.next++ // unknown access: drop
+			a.retire() // unknown access
 			continue
 		}
 		// The prefetch is pointless once the process has passed the
 		// original point (the application already read it synchronously).
 		if a.localSlot >= e.Orig {
-			a.next++
+			a.retire()
 			continue
 		}
 		// Producer check: fetch only after every process has passed the
@@ -189,10 +204,16 @@ func (a *Agent) Pump(now sim.Time) {
 		if err := a.fetcher.Fetch(info.File, info.Offset, info.Length, f.doneFn); err != nil {
 			a.fetches.Put(f)
 			a.buf.Abort(e.AccessID)
-			a.next++
+			a.retire()
 			continue
 		}
 		a.issued++
-		a.next++
+		a.retire()
 	}
+}
+
+// retire moves past the moved entry at next, issued or dropped.
+func (a *Agent) retire() {
+	a.next++
+	a.pending--
 }

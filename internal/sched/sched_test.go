@@ -1,11 +1,11 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"sdds/internal/core"
 	"sdds/internal/sim"
-	"sdds/internal/stripe"
 )
 
 func TestBufferReserveCommitConsume(t *testing.T) {
@@ -87,7 +87,7 @@ type fakeClock struct{ min int }
 func (c *fakeClock) MinSlot() int { return c.min }
 
 func mkEntry(id, slot, orig int) core.Entry {
-	return core.Entry{Slot: slot, AccessID: id, Orig: orig, Length: 1, Sig: stripe.SignatureOf(8, 0)}
+	return core.Entry{Slot: slot, AccessID: id, Orig: orig, Length: 1}
 }
 
 func mkAgent(t *testing.T, eng *sim.Engine, table []core.Entry, infos map[int]AccessInfo, buf *GlobalBuffer, clock LocalClock) (*Agent, *fakeFetcher) {
@@ -124,8 +124,11 @@ func TestAgentIssuesDueEntries(t *testing.T) {
 	infos := map[int]AccessInfo{
 		1: {File: 0, Offset: 100, Length: 64, WriterSlot: -1},
 		2: {File: 0, Offset: 200, Length: 64, WriterSlot: -1},
+		3: {File: 0, Offset: 300, Length: 64, WriterSlot: -1},
 	}
-	table := []core.Entry{mkEntry(1, 2, 10), mkEntry(2, 6, 12)}
+	// Entry 3 sits at its original point: due with the others, but never
+	// prefetched.
+	table := []core.Entry{mkEntry(1, 2, 10), mkEntry(2, 6, 12), mkEntry(3, 7, 7)}
 	clock := &fakeClock{min: 3}
 	a, f := mkAgent(t, eng, table, infos, buf, clock)
 	// Dueness follows the global clock: at min slot 3 only the slot-2
@@ -136,8 +139,8 @@ func TestAgentIssuesDueEntries(t *testing.T) {
 	}
 	clock.min = 6
 	a.Pump(eng.Now())
-	if len(f.fetched) != 2 {
-		t.Fatalf("fetched = %v, want both", f.fetched)
+	if len(f.fetched) != 2 || a.PendingEntries() != 0 {
+		t.Fatalf("fetched = %v with %d pending, want both moved entries and none pending", f.fetched, a.PendingEntries())
 	}
 	eng.Run()
 	if !buf.Resident(1) || !buf.Resident(2) {
@@ -224,6 +227,17 @@ func TestAgentFetchErrorAbortsReservation(t *testing.T) {
 func TestNewAgentNilDeps(t *testing.T) {
 	if _, err := NewAgent(0, nil, nil, nil, nil, nil); err == nil {
 		t.Fatal("nil deps accepted")
+	}
+}
+
+// The agent walks its table in place, so it must refuse one out of slot
+// order rather than issue its entries out of order.
+func TestNewAgentRejectsUnsortedTable(t *testing.T) {
+	resolve := func(int) (AccessInfo, bool) { return AccessInfo{}, false }
+	table := []core.Entry{mkEntry(1, 5, 10), mkEntry(2, 5, 10), mkEntry(3, 4, 10)}
+	_, err := NewAgent(0, table, resolve, &fakeFetcher{}, MustNewGlobalBuffer(1<<20), &fakeClock{})
+	if err == nil || !strings.Contains(err.Error(), "entry 2 at slot 4 follows slot 5") {
+		t.Fatalf("NewAgent = %v, want an error naming entry 2", err)
 	}
 }
 

@@ -92,7 +92,16 @@ func (l Layout) Chunks(offset, length int64) []Chunk {
 // of nodes a data access visits, "calculated based on the stripe size"
 // (§IV-B).
 func (l Layout) SignatureFor(offset, length int64) Signature {
-	s := NewSignature(l.NumNodes)
+	return l.SignatureInto(make([]uint64, Words(l.NumNodes)), offset, length)
+}
+
+// SignatureInto is SignatureFor over caller-provided storage: it overwrites
+// the first Words(NumNodes) words of words and returns a signature backed
+// by them, so many signatures can share one array.
+func (l Layout) SignatureInto(words []uint64, offset, length int64) Signature {
+	n := max(l.NumNodes, 0)
+	s := Signature{n: n, words: words[:Words(n):Words(n)]}
+	clear(s.words)
 	first, last := l.Span(offset, length)
 	if last < first {
 		return s

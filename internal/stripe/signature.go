@@ -20,11 +20,12 @@ type Signature struct {
 
 // NewSignature returns an empty signature over n I/O nodes.
 func NewSignature(n int) Signature {
-	if n < 0 {
-		n = 0
-	}
-	return Signature{n: n, words: make([]uint64, (n+63)/64)}
+	n = max(n, 0)
+	return Signature{n: n, words: make([]uint64, Words(n))}
 }
+
+// Words returns how many 64-bit words back a signature over n I/O nodes.
+func Words(n int) int { return (max(n, 0) + 63) / 64 }
 
 // SignatureOf returns a signature over n nodes with the given bits set.
 func SignatureOf(n int, nodes ...int) Signature {
