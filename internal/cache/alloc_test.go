@@ -46,6 +46,28 @@ func TestStorageGeometryAllocatesOnce(t *testing.T) {
 		if hits, misses, evictions := c.Stats(); hits == 0 || misses == 0 || evictions == 0 {
 			t.Errorf("%T: hits=%d misses=%d evictions=%d: churn not exercised", c, hits, misses, evictions)
 		}
+		// A reset cache keeps its slab and index: it starts empty and
+		// fills again without allocating.
+		switch c := c.(type) {
+		case *LRU:
+			err = c.Reset(capacity)
+		case *PALRU:
+			err = c.Reset(capacity, nil, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, _, _ := c.Stats(); c.Len() != 0 || c.Used() != 0 || hits != 0 {
+			t.Errorf("%T: after Reset Len=%d Used=%d hits=%d, want an empty cache", c, c.Len(), c.Used(), hits)
+		}
+		runtime.ReadMemStats(&start)
+		for b := int64(0); b < 2*capacity/block; b++ {
+			c.Put(Key{File: 2, Block: b}, block)
+		}
+		runtime.ReadMemStats(&end)
+		if n := end.Mallocs - start.Mallocs; n != 0 || c.Len() != capacity/block {
+			t.Errorf("%T: refilling after Reset made %d allocations (Len %d), want 0", c, n, c.Len())
+		}
 	}
 }
 

@@ -50,12 +50,13 @@ type slot struct {
 // are chained for reuse. An open-addressed table indexes them by key: each
 // cell holds a slab index + 1 (0 = empty), collisions probe linearly,
 // deletes shift the following run back, and the table is kept at most half
-// full. The first admit sizes the slab and the table for capacity ÷ that
-// block's size + 1 entries (the +1 is the block admitted before eviction
-// makes room, and maxPresize caps it), so a cache whose blocks are all one
-// size allocates nothing after its first Put. Smaller blocks later grow
-// both by doubling. The two caches differ only in how Put picks its
-// eviction victims.
+// full. The first admit after New or Reset sizes the slab and the table
+// for capacity ÷ that block's size + 1 entries (the +1 is the block
+// admitted before eviction makes room, and maxPresize caps it), unless the
+// slab kept from an earlier use already holds that many, so a cache whose
+// blocks are all one size allocates nothing after its first Put, and a
+// recycled one nothing at all. Smaller blocks later grow both by doubling.
+// The two caches differ only in how Put picks its eviction victims.
 type recency struct {
 	capacity   int64
 	used       int64
@@ -68,11 +69,15 @@ type recency struct {
 	hits, misses, evictions int64
 }
 
-func newRecency(capacity int64) (recency, error) {
+// reset empties the cache for a byte budget of capacity, keeping the slab
+// and the table for reuse.
+func (c *recency) reset(capacity int64) error {
 	if capacity <= 0 {
-		return recency{}, fmt.Errorf("cache: capacity %d must be positive", capacity)
+		return fmt.Errorf("cache: capacity %d must be positive", capacity)
 	}
-	return recency{capacity: capacity, head: none, tail: none, free: none}, nil
+	clear(c.index)
+	*c = recency{capacity: capacity, slab: c.slab[:0], head: none, tail: none, free: none, index: c.index}
+	return nil
 }
 
 // Capacity returns the byte budget.
@@ -132,8 +137,7 @@ func (c *recency) admit(k Key, size int64) bool {
 	if size <= 0 || size > c.capacity {
 		return false
 	}
-	if c.index == nil {
-		n := min(c.capacity/size+1, maxPresize)
+	if n := min(c.capacity/size+1, maxPresize); len(c.slab) == 0 && int64(cap(c.slab)) < n {
 		c.slab = make([]slot, 0, n)
 		c.index = make([]int32, tableSize(n))
 	}
@@ -195,15 +199,19 @@ func tableSize(n int64) int {
 	return size
 }
 
-// home returns k's preferred cell in a table of the given power-of-two
-// length.
-func home(k Key, length int) int {
+// Hash mixes k's file and block into well-spread bits, for tables keyed
+// by block.
+func (k Key) Hash() uint64 {
 	h := uint64(k.Block) ^ uint64(k.File)*0x9e3779b97f4a7c15
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return int(h & uint64(length-1))
+	return h
 }
+
+// home returns k's preferred cell in a table of the given power-of-two
+// length.
+func home(k Key, length int) int { return int(k.Hash() & uint64(length-1)) }
 
 // lookup returns k's cell and slab index, or the empty cell where k would
 // go and none.
@@ -293,12 +301,17 @@ type LRU struct {
 // New returns an empty cache holding at most capacity bytes. Capacity must
 // be positive.
 func New(capacity int64) (*LRU, error) {
-	r, err := newRecency(capacity)
-	if err != nil {
+	c := &LRU{}
+	if err := c.Reset(capacity); err != nil {
 		return nil, err
 	}
-	return &LRU{recency: r}, nil
+	return c, nil
 }
+
+// Reset empties c, in place, for a byte budget of capacity. The slab and
+// index an earlier use sized are kept, so a recycled cache allocates
+// nothing once they are large enough.
+func (c *LRU) Reset(capacity int64) error { return c.reset(capacity) }
 
 // MustNew is New, panicking on error.
 func MustNew(capacity int64) *LRU {

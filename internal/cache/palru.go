@@ -22,14 +22,24 @@ type PALRU struct {
 // NewPALRU builds a power-aware cache. active may be nil (degenerates to
 // plain LRU); lookahead ≤ 0 defaults to 8.
 func NewPALRU(capacity int64, active func(Key) bool, lookahead int) (*PALRU, error) {
-	r, err := newRecency(capacity)
-	if err != nil {
+	c := &PALRU{}
+	if err := c.Reset(capacity, active, lookahead); err != nil {
 		return nil, err
+	}
+	return c, nil
+}
+
+// Reset empties c, in place, with NewPALRU's arguments, keeping its slab
+// and index as LRU.Reset does.
+func (c *PALRU) Reset(capacity int64, active func(Key) bool, lookahead int) error {
+	if err := c.reset(capacity); err != nil {
+		return err
 	}
 	if lookahead <= 0 {
 		lookahead = 8
 	}
-	return &PALRU{recency: r, active: active, lookahead: lookahead}, nil
+	c.active, c.lookahead, c.protections = active, lookahead, 0
+	return nil
 }
 
 // Protections counts evictions redirected away from sleeping disks.

@@ -11,7 +11,6 @@ import (
 	"sdds/internal/loop"
 	"sdds/internal/metrics"
 	"sdds/internal/mpiio"
-	"sdds/internal/netsim"
 	"sdds/internal/power"
 	"sdds/internal/probe"
 	"sdds/internal/sched"
@@ -120,36 +119,34 @@ func recordGaps(ctx context.Context, setup *Setup, cfg Config) (*Result, *metric
 	return res, gaps, err
 }
 
-// simulate executes one pass of a validated, normalized cfg. gaps is nil
-// except in the passes of a policy=oracle run: the Default Scheme pass
-// records every idle gap into it, and the oracle pass replays them.
+// simulate executes one pass of a validated, normalized cfg on a machine
+// from the free list. gaps is nil except in the passes of a
+// policy=oracle run: the Default Scheme pass records every idle gap into
+// it, and the oracle pass replays them. The machine goes back to the list
+// only after a completed run; a failed, cancelled or panicking one drops
+// it.
 func simulate(ctx context.Context, setup *Setup, cfg Config, gaps *metrics.GapTrace) (*Result, error) {
 	prog := setup.prog
 	oracle := cfg.Policy.Kind == power.KindOracle
 
-	eng := sim.NewEngine(cfg.Seed)
-	// Attach the flight recorder before any model is constructed — models
-	// cache the probe pointer at New time.
-	eng.SetProbe(cfg.Probe)
-	// Same for the fault injector: its per-site streams are seeded from
-	// (fault seed, run seed), so equal configs reproduce the exact fault
-	// pattern. A nil Faults config leaves injection off entirely.
+	// The fault injector's per-site streams are seeded from (fault seed,
+	// run seed), so equal configs reproduce the exact fault pattern. A nil
+	// Faults config leaves injection off entirely.
 	inj := fault.NewInjector(cfg.Faults, cfg.Seed)
-	eng.SetFaults(inj)
+	m, err := acquireMachine(setup, cfg, inj)
+	if err != nil {
+		return nil, err
+	}
+	eng, nodes, ex := m.eng, m.nodes, &m.ex
 
-	// Storage: I/O nodes with per-disk power policies and idle recorders.
+	// Per-disk power policies and idle recorders.
 	idle := metrics.NewIdleHistogram()
 	var recorder disk.IdleRecorder = idle
 	if gaps != nil && !oracle {
 		recorder = teeRecorder{idle, gaps}
 	}
-	nodes := make([]*ionode.Node, cfg.Layout.NumNodes)
-	var pols []power.Policy
-	for i := range nodes {
-		n, err := ionode.New(eng, i, cfg.Node)
-		if err != nil {
-			return nil, err
-		}
+	pols := make([]power.Policy, 0, len(nodes)*cfg.Node.Members)
+	for _, n := range nodes {
 		for _, d := range n.Disks() {
 			var pol power.Policy
 			var err error
@@ -165,40 +162,7 @@ func simulate(ctx context.Context, setup *Setup, cfg Config, gaps *metrics.GapTr
 			d.SetIdleRecorder(recorder)
 			pols = append(pols, pol)
 		}
-		nodes[i] = n
 	}
-	net, err := netsim.New(eng, cfg.Net)
-	if err != nil {
-		return nil, err
-	}
-	mw, err := mpiio.New(eng, cfg.Layout, nodes, net)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range prog.Files {
-		if _, err := mw.Open(f.ID, f.Name, f.Size); err != nil {
-			return nil, err
-		}
-	}
-
-	ex := &executor{
-		eng:    eng,
-		cfg:    cfg,
-		prog:   prog,
-		mw:     mw,
-		nodes:  nodes,
-		flt:    inj,
-		slots:  setup.slots,
-		procAt: make([]int, cfg.Procs),
-		finish: make([]sim.Time, cfg.Procs),
-		// Shared read-only program-derived state; slice headers only.
-		ioFlat:       setup.ioFlat,
-		ioOff:        setup.ioOff,
-		slotNest:     setup.slotNest,
-		slotLoc:      setup.slotLoc,
-		nestBodyCost: setup.nestBodyCost,
-	}
-	ex.prepareProcState()
 
 	// The framework: compile and stand up the runtime scheduler.
 	var compileProv compiler.Provenance
@@ -236,9 +200,7 @@ func simulate(ctx context.Context, setup *Setup, cfg Config, gaps *metrics.GapTr
 
 	// Launch all processes at t=0 and run to completion.
 	for p := 0; p < cfg.Procs; p++ {
-		p := p
-		//sddsvet:ignore hotalloc -- startup only: one closure per process, before the event loop runs
-		eng.ScheduleFunc(0, "cluster.start", func(now sim.Time) { ex.beginSlot(p, 0, now) })
+		eng.ScheduleFunc(0, "cluster.start", ex.fn[p].start)
 	}
 	simSpan := cfg.Probe.StartSpan(probe.TrackRun, "simulate "+prog.Name)
 	end, err := eng.RunContext(ctx)
@@ -290,9 +252,10 @@ func simulate(ctx context.Context, setup *Setup, cfg Config, gaps *metrics.GapTr
 		res.AgentMoved += int64(ex.comp.Schedule.NumMovedEarlier(p))
 	}
 	if inj != nil {
-		res.Faults = collectFaultStats(inj, nodes, net, ex)
+		res.Faults = collectFaultStats(inj, nodes, m.net, ex)
 	}
 	res.Metrics = collectMetrics(res, nodes, pols, ex, execEnd)
+	m.release()
 	return res, nil
 }
 
@@ -369,7 +332,9 @@ func collectMetrics(res *Result, nodes []*ionode.Node, pols []power.Policy, ex *
 	return reg.Snapshot()
 }
 
-// executor drives the processes through their slots.
+// executor drives the processes through their slots. It is part of a
+// machine: reset readies it for each run, binding handlers only for
+// processes it has never run.
 type executor struct {
 	eng   *sim.Engine
 	cfg   Config
@@ -400,16 +365,11 @@ type executor struct {
 	minSlot   int
 
 	// Per-process continuation state: the slot chain (compute → I/O →
-	// I/O → next slot) runs through handlers bound once at startup, with
-	// ioIdx[p] the next instance index within the current slot.
-	ioIdx     []int32
-	computeFn []sim.Handler
-	nextFn    []sim.Handler
-	stepFn    []sim.Handler
-	bufHitFn  []sim.Handler
-	releaseFn []sim.Handler
-	waitFn    []func(ok bool)
-	ioDoneFn  []func(now sim.Time, ok bool)
+	// I/O → next slot) runs through handlers bound once per machine, with
+	// ioIdx[p] the next instance index within the current slot. fn may
+	// hold more processes than the run has.
+	ioIdx []int32
+	fn    []procFns
 	// ioRetry counts re-issues of the current instance (reset on advance);
 	// the degradation counters below feed Result.Faults.
 	ioRetry        []int32
@@ -436,75 +396,111 @@ type executor struct {
 	agents []*sched.Agent
 }
 
-// prepareProcState binds the per-process continuation handlers and seeds
-// the MinSlot ladder (all processes start at slot 0).
-func (ex *executor) prepareProcState() {
-	procs := ex.cfg.Procs
-	ex.slotCount = make([]int32, ex.slots+1)
-	ex.slotCount[0] = int32(procs)
-	ex.minSlot = 0
-	ex.ioIdx = make([]int32, procs)
-	ex.computeFn = make([]sim.Handler, procs)
-	ex.nextFn = make([]sim.Handler, procs)
-	ex.stepFn = make([]sim.Handler, procs)
-	ex.bufHitFn = make([]sim.Handler, procs)
-	ex.releaseFn = make([]sim.Handler, procs)
-	ex.waitFn = make([]func(bool), procs)
-	ex.ioDoneFn = make([]func(sim.Time, bool), procs)
-	ex.ioRetry = make([]int32, procs)
-	ex.pendSlot = make([]int, procs)
-	for p := 0; p < procs; p++ {
-		p := p
-		ex.computeFn[p] = func(t sim.Time) {
-			ex.ioIdx[p] = 0
-			ex.stepIO(p, t)
-		}
-		ex.nextFn[p] = func(t sim.Time) {
-			ex.ioIdx[p]++
-			ex.stepIO(p, t)
-		}
-		ex.stepFn[p] = func(t sim.Time) {
-			ex.stepIO(p, t)
-		}
-		ex.bufHitFn[p] = func(t sim.Time) {
-			ex.pumpAgents(t)
-			ex.ioIdx[p]++
-			ex.stepIO(p, t)
-		}
-		ex.releaseFn[p] = func(t sim.Time) {
-			ex.runSlot(p, ex.pendSlot[p], t)
-		}
-		ex.waitFn[p] = func(ok bool) {
-			if ok {
-				ex.eng.ScheduleFunc(ex.cfg.BufferHitTime, "cluster.buffer-hit", ex.bufHitFn[p])
-				return
-			}
-			// The prefetch this read was waiting on aborted (injected
-			// faults, retries exhausted). The buffer entry is gone, so
-			// re-running the same instance degrades to an on-demand
-			// middleware read — the cursor never moved, so producer
-			// local-time ordering is untouched.
-			ex.fetchFallbacks++
-			ex.eng.ScheduleFunc(0, "cluster.fetch-abort", ex.stepFn[p])
-		}
-		ex.ioDoneFn[p] = func(t sim.Time, ok bool) {
-			if !ok && int(ex.ioRetry[p]) < ex.flt.MaxRetries() {
-				// The middleware exhausted its own retries; re-issue the
-				// whole instance a bounded number of times before moving
-				// on. The cursor is unchanged, so this is a pure re-read.
-				ex.ioRetry[p]++
-				ex.ioRetries++
-				ex.stepIO(p, t)
-				return
-			}
-			if !ok {
-				ex.ioAbandoned++
-			}
-			ex.ioRetry[p] = 0
-			ex.ioIdx[p]++
-			ex.stepIO(p, t)
-		}
+// procFns are one process's continuation handlers.
+type procFns struct {
+	start, compute, next, step, bufHit, release sim.Handler
+	wait                                        func(ok bool)
+	ioDone                                      func(now sim.Time, ok bool)
+}
+
+// reset readies the executor for one run of cfg on setup, reusing its
+// per-process state. A nil setup leaves it idle, holding nothing of the
+// last run: no setup, program, compile, buffer, agents or injector.
+func (ex *executor) reset(m *machine, setup *Setup, cfg Config) {
+	procs := cfg.Procs
+	clear(ex.agents)
+	*ex = executor{
+		eng:         m.eng,
+		cfg:         cfg,
+		mw:          m.mw,
+		nodes:       m.nodes,
+		flt:         m.eng.Faults(),
+		procAt:      zeroed(ex.procAt, procs),
+		finish:      zeroed(ex.finish, procs),
+		slotCount:   ex.slotCount,
+		ioIdx:       zeroed(ex.ioIdx, procs),
+		fn:          ex.fn,
+		ioRetry:     zeroed(ex.ioRetry, procs),
+		barrierWait: ex.barrierWait[:0],
+		pendSlot:    zeroed(ex.pendSlot, procs),
+		agents:      ex.agents[:0],
 	}
+	if setup != nil {
+		ex.prog = setup.prog
+		ex.slots = setup.slots
+		ex.ioFlat, ex.ioOff = setup.ioFlat, setup.ioOff
+		ex.slotNest, ex.slotLoc, ex.nestBodyCost = setup.slotNest, setup.slotLoc, setup.nestBodyCost
+	}
+	// Every process starts at slot 0.
+	ex.slotCount = zeroed(ex.slotCount, ex.slots+1)
+	ex.slotCount[0] = int32(procs)
+	for p := len(ex.fn); p < procs; p++ {
+		ex.fn = append(ex.fn, ex.bind(p))
+	}
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing array.
+func zeroed[T any](s []T, n int) []T {
+	clear(s)
+	return append(s[:0], make([]T, n)...)
+}
+
+// bind builds process p's continuation handlers.
+func (ex *executor) bind(p int) procFns {
+	var f procFns
+	f.start = func(t sim.Time) {
+		ex.beginSlot(p, 0, t)
+	}
+	f.compute = func(t sim.Time) {
+		ex.ioIdx[p] = 0
+		ex.stepIO(p, t)
+	}
+	f.next = func(t sim.Time) {
+		ex.ioIdx[p]++
+		ex.stepIO(p, t)
+	}
+	f.step = func(t sim.Time) {
+		ex.stepIO(p, t)
+	}
+	f.bufHit = func(t sim.Time) {
+		ex.pumpAgents(t)
+		ex.ioIdx[p]++
+		ex.stepIO(p, t)
+	}
+	f.release = func(t sim.Time) {
+		ex.runSlot(p, ex.pendSlot[p], t)
+	}
+	f.wait = func(ok bool) {
+		if ok {
+			ex.eng.ScheduleFunc(ex.cfg.BufferHitTime, "cluster.buffer-hit", ex.fn[p].bufHit)
+			return
+		}
+		// The prefetch this read was waiting on aborted (injected
+		// faults, retries exhausted). The buffer entry is gone, so
+		// re-running the same instance degrades to an on-demand
+		// middleware read — the cursor never moved, so producer
+		// local-time ordering is untouched.
+		ex.fetchFallbacks++
+		ex.eng.ScheduleFunc(0, "cluster.fetch-abort", ex.fn[p].step)
+	}
+	f.ioDone = func(t sim.Time, ok bool) {
+		if !ok && int(ex.ioRetry[p]) < ex.flt.MaxRetries() {
+			// The middleware exhausted its own retries; re-issue the
+			// whole instance a bounded number of times before moving
+			// on. The cursor is unchanged, so this is a pure re-read.
+			ex.ioRetry[p]++
+			ex.ioRetries++
+			ex.stepIO(p, t)
+			return
+		}
+		if !ok {
+			ex.ioAbandoned++
+		}
+		ex.ioRetry[p] = 0
+		ex.ioIdx[p]++
+		ex.stepIO(p, t)
+	}
+	return f
 }
 
 // setProcAt moves process p to slot s and maintains the MinSlot ladder.
@@ -599,11 +595,12 @@ func (ex *executor) beginSlot(p, s int, now sim.Time) {
 		if ex.barrierCount == ex.cfg.Procs {
 			ex.barrierNest = ni
 			ex.barrierCount = 0
-			waiters := ex.barrierWait
-			ex.barrierWait = nil
-			for _, w := range waiters {
-				ex.eng.ScheduleFunc(0, "cluster.barrier-release", ex.releaseFn[w])
+			// ScheduleFunc never fires synchronously, so the waiter list
+			// can be reused as soon as the releases are queued.
+			for _, w := range ex.barrierWait {
+				ex.eng.ScheduleFunc(0, "cluster.barrier-release", ex.fn[w].release)
 			}
+			ex.barrierWait = ex.barrierWait[:0]
 		}
 		return
 	}
@@ -618,11 +615,11 @@ func (ex *executor) runSlot(p, s int, now sim.Time) {
 		ex.pumpAgents(now)
 	}
 	cost := ex.computeCost(p, s)
-	ex.eng.ScheduleFunc(cost, "cluster.compute", ex.computeFn[p])
+	ex.eng.ScheduleFunc(cost, "cluster.compute", ex.fn[p].compute)
 }
 
 // stepIO executes I/O instance ioIdx[p] of process p's current slot, then
-// advances. The continuation is the pre-bound nextFn[p] — no closure per
+// advances. The continuation is the pre-bound fn[p].next — no closure per
 // I/O — with the (slot, index) cursor carried in executor state: the
 // process is blocked on this chain, so nothing else moves it.
 //
@@ -639,8 +636,8 @@ func (ex *executor) stepIO(p int, now sim.Time) {
 	inst := insts[i]
 	switch inst.Kind {
 	case loop.StmtWrite:
-		if err := ex.mw.Write(inst.File, inst.Offset, inst.Length, ex.ioDoneFn[p]); err != nil {
-			ex.eng.ScheduleFunc(0, "cluster.io-err", ex.nextFn[p])
+		if err := ex.mw.Write(inst.File, inst.Offset, inst.Length, ex.fn[p].ioDone); err != nil {
+			ex.eng.ScheduleFunc(0, "cluster.io-err", ex.fn[p].next)
 		}
 	case loop.StmtRead:
 		if ex.comp != nil {
@@ -648,16 +645,16 @@ func (ex *executor) stepIO(p int, now sim.Time) {
 				// Resident data is a hit; an in-flight prefetch makes the
 				// read wait for the delivery instead of duplicating the
 				// disk access (or fall back on-demand if it aborts).
-				if ex.buf.WaitConsume(id, ex.waitFn[p]) {
+				if ex.buf.WaitConsume(id, ex.fn[p].wait) {
 					return
 				}
 			}
 		}
-		if err := ex.mw.Read(inst.File, inst.Offset, inst.Length, ex.ioDoneFn[p]); err != nil {
-			ex.eng.ScheduleFunc(0, "cluster.io-err", ex.nextFn[p])
+		if err := ex.mw.Read(inst.File, inst.Offset, inst.Length, ex.fn[p].ioDone); err != nil {
+			ex.eng.ScheduleFunc(0, "cluster.io-err", ex.fn[p].next)
 		}
 	default:
-		ex.eng.ScheduleFunc(0, "cluster.io-skip", ex.nextFn[p])
+		ex.eng.ScheduleFunc(0, "cluster.io-skip", ex.fn[p].next)
 	}
 }
 

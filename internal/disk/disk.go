@@ -141,8 +141,8 @@ type Disk struct {
 	upSince      sim.Time   // when an upward RPM target became pending
 	shiftTo      int        // speed the in-flight shift lands on
 
-	// Callbacks bound once at construction so the service path schedules
-	// without allocating a closure per event.
+	// Callbacks bound once, by New, so the service path schedules without
+	// allocating a closure per event.
 	transferCb sim.ArgHandler
 	completeCb sim.ArgHandler
 	spunUpFn   sim.Handler
@@ -150,12 +150,12 @@ type Disk struct {
 	standbyFn  sim.Handler
 	spinFailFn sim.Handler
 
-	// pr is the engine's flight recorder, cached at construction. Nil when
+	// pr is the engine's flight recorder, cached by Reset. Nil when
 	// tracing is off; probe.Emit is nil-safe.
 	pr *probe.Probe
 
-	// flt is the engine's fault injector, cached at construction like the
-	// probe. Nil when injection is off; Injector methods are nil-safe.
+	// flt is the engine's fault injector, cached by Reset like the probe.
+	// Nil when injection is off; Injector methods are nil-safe.
 	flt *fault.Injector
 	// spinFails counts consecutive failed spin-up attempts so a re-issue
 	// storm is bounded by the injector's MaxRetries.
@@ -166,29 +166,51 @@ type Disk struct {
 
 // New returns a disk spinning at full speed in the idle state.
 func New(eng *sim.Engine, id int, p Params) (*Disk, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	d := &Disk{
-		ID:        id,
-		params:    p,
-		eng:       eng,
-		state:     StateIdle,
-		rpm:       p.MaxRPM,
-		targetRPM: p.MaxRPM,
-		queue:     newElevator(),
-		pr:        eng.Probe(),
-		flt:       eng.Faults(),
-	}
-	d.account = NewEnergyAccount(eng.Now(), StateIdle, p.IdlePowerAt(d.rpm))
+	d := &Disk{eng: eng, queue: newElevator(), account: &EnergyAccount{}}
 	d.transferCb = d.onTransfer
 	d.completeCb = d.onComplete
 	d.spunUpFn = d.onSpunUp
 	d.shiftedFn = d.onShifted
 	d.standbyFn = d.onStandby
 	d.spinFailFn = d.onSpinFail
-	d.openIdleGap(eng.Now())
+	if err := d.Reset(id, p); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// Reset returns d, in place, to the state New leaves it in: disk id with
+// params p, idle at full speed from the engine's current time, with an
+// empty queue, a fresh energy account and zero counters. It re-reads the
+// engine's probe and fault injector and drops the listener and the idle
+// recorder, so a recycled disk holds nothing from its previous run.
+func (d *Disk) Reset(id int, p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	now := d.eng.Now()
+	d.queue.reset()
+	d.account.reset(now, StateIdle, p.IdlePowerAt(p.MaxRPM))
+	*d = Disk{
+		ID:         id,
+		params:     p,
+		eng:        d.eng,
+		state:      StateIdle,
+		rpm:        p.MaxRPM,
+		targetRPM:  p.MaxRPM,
+		queue:      d.queue,
+		account:    d.account,
+		transferCb: d.transferCb,
+		completeCb: d.completeCb,
+		spunUpFn:   d.spunUpFn,
+		shiftedFn:  d.shiftedFn,
+		standbyFn:  d.standbyFn,
+		spinFailFn: d.spinFailFn,
+		pr:         d.eng.Probe(),
+		flt:        d.eng.Faults(),
+	}
+	d.openIdleGap(now)
+	return nil
 }
 
 // MustNew is New, panicking on invalid parameters (for tests and examples).

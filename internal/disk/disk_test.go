@@ -547,7 +547,8 @@ func TestPropertyElevatorCompleteness(t *testing.T) {
 // Property: energy account never decreases and per-state sums equal total.
 func TestPropertyEnergyAccountConsistency(t *testing.T) {
 	f := func(steps []uint8) bool {
-		a := NewEnergyAccount(0, StateIdle, 10)
+		a := &EnergyAccount{}
+		a.reset(0, StateIdle, 10)
 		now := sim.Time(0)
 		states := AllStates()
 		prev := 0.0

@@ -18,10 +18,10 @@ type EnergyAccount struct {
 	startTime sim.Time
 }
 
-// NewEnergyAccount returns an account beginning at time now in the given
-// state drawing drawW watts.
-func NewEnergyAccount(now sim.Time, state State, drawW float64) *EnergyAccount {
-	return &EnergyAccount{last: now, drawW: drawW, state: state, startTime: now}
+// reset (re)starts the account at time now in the given state drawing
+// drawW watts.
+func (a *EnergyAccount) reset(now sim.Time, state State, drawW float64) {
+	*a = EnergyAccount{last: now, drawW: drawW, state: state, startTime: now}
 }
 
 // accrue charges the elapsed interval at the current draw.

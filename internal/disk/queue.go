@@ -10,7 +10,18 @@ type elevator struct {
 	up      bool // current sweep direction: toward higher cylinders
 }
 
-func newElevator() *elevator { return &elevator{up: true} }
+func newElevator() *elevator {
+	q := &elevator{}
+	q.reset()
+	return q
+}
+
+// reset empties the queue and restarts the sweep upward, keeping the
+// queue's capacity.
+func (q *elevator) reset() {
+	clear(q.pending[:cap(q.pending)])
+	*q = elevator{pending: q.pending[:0], up: true}
+}
 
 // Len returns the number of queued requests.
 func (q *elevator) Len() int { return len(q.pending) }

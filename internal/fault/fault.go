@@ -123,6 +123,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// Bounds on the latency and retry knobs. Backoffs double per attempt, so
+// the longest one any model computes is MaxLatencyUS << (MaxRetries−1),
+// about 1.2e14 µs: far from wrapping the int64 virtual clock.
+const (
+	// MaxLatencyUS caps every latency knob at one hour of virtual time.
+	MaxLatencyUS = 3_600_000_000
+	// MaxRetries caps MaxRetries.
+	MaxRetries = 16
+)
+
 // Validate reports the first configuration problem, or nil.
 func (c *Config) Validate() error {
 	for s, r := range c.Rates {
@@ -140,12 +150,12 @@ func (c *Config) Validate() error {
 		{"net retry delay", c.NetRetryDelayUS},
 		{"node stall", c.NodeStallUS},
 	} {
-		if l.v < 0 {
-			return fmt.Errorf("fault: negative %s %d", l.name, l.v)
+		if l.v < 0 || l.v > MaxLatencyUS {
+			return fmt.Errorf("fault: %s %d µs must be in [0, %d]", l.name, l.v, MaxLatencyUS)
 		}
 	}
-	if c.MaxRetries < 1 {
-		return fmt.Errorf("fault: max retries %d must be >= 1", c.MaxRetries)
+	if c.MaxRetries < 1 || c.MaxRetries > MaxRetries {
+		return fmt.Errorf("fault: max retries %d must be in [1, %d]", c.MaxRetries, MaxRetries)
 	}
 	return nil
 }
@@ -216,9 +226,11 @@ func (c *Config) setKnob(key string, val string) (bool, error) {
 // ParseSpec parses a comma-separated fault spec into a config over the
 // defaults, e.g. "read=0.001,net-drop=0.01,stall=0.005,seed=7". Rate keys
 // are the Site names (read, write, badsector, spinup-fail, spinup-delay,
-// net-drop, net-dup, stall); knob keys are retry-lat, remap-lat,
-// spinup-lat, net-lat, stall-lat (all µs), retries, and seed. An empty
-// spec returns nil (no injection).
+// net-drop, net-dup, stall), each in [0, 1]; knob keys are retry-lat,
+// remap-lat, spinup-lat, net-lat, stall-lat (all µs, each in [0,
+// MaxLatencyUS], one hour), retries (in [1, MaxRetries], 16), and seed.
+// The bounds keep every latency and doubled backoff from wrapping the
+// virtual clock. An empty spec returns nil (no injection).
 func ParseSpec(spec string) (*Config, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {

@@ -17,6 +17,9 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.RetryLatencyUS = -1 },
 		func(c *Config) { c.NodeStallUS = -5 },
 		func(c *Config) { c.MaxRetries = 0 },
+		func(c *Config) { c.MaxRetries = MaxRetries + 1 },
+		func(c *Config) { c.SpinUpDelayUS = MaxLatencyUS + 1 },
+		func(c *Config) { c.NetRetryDelayUS = MaxLatencyUS + 1 },
 	}
 	for i, m := range muts {
 		c := DefaultConfig()
@@ -68,6 +71,13 @@ func TestParseSpecErrors(t *testing.T) {
 		"retry-lat=-5",    // negative latency
 		"retries=maybe",   // unparsable int
 		"spinup-lat=nope", // unparsable knob
+		// Latencies past an hour, or retries past 16, would wrap the
+		// virtual clock: now + stall, or a backoff lat << (k−1).
+		"stall=0.5,stall-lat=9223372036854775807",
+		"stall=0.5,stall-lat=4611686018427387904",
+		"stall-lat=3600000001",
+		"retry-lat=2000,retries=62",
+		"retries=17",
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
@@ -219,4 +229,29 @@ func TestSiteStrings(t *testing.T) {
 	if (Stats{}).Count(Site(200)) != 0 {
 		t.Fatal("out-of-range Count must be 0")
 	}
+}
+
+// FuzzParseSpec: every spec ParseSpec accepts validates, renders a Canon
+// that re-parses to an equal config with the same Canon, and keeps its
+// longest doubled backoff, lat << (MaxRetries−1), inside int64.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil || cfg == nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted an invalid config: %v", spec, err)
+		}
+		again, err := ParseSpec(cfg.Canon())
+		if err != nil || again == nil || *again != *cfg || again.Canon() != cfg.Canon() {
+			t.Fatalf("Canon %q of %q re-parses to %+v, %v; want %+v", cfg.Canon(), spec, again, err, cfg)
+		}
+		shift := cfg.MaxRetries - 1
+		for _, lat := range []int64{cfg.RetryLatencyUS, cfg.RemapLatencyUS, cfg.SpinUpDelayUS, cfg.NetRetryDelayUS, cfg.NodeStallUS} {
+			if longest := lat << shift; longest < 0 || longest>>shift != lat {
+				t.Fatalf("%q: backoff %d << %d wraps", spec, lat, shift)
+			}
+		}
+	})
 }

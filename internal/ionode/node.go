@@ -114,13 +114,15 @@ type Node struct {
 	// Stride prefetcher state (per file).
 	lastUnit  map[int]int64
 	lastDelta map[int]int64
-	inflight  map[cache.Key]*unitFetch // miss coalescing
+	// inflight indexes the unit fetches in flight, at most one per unit:
+	// later misses on a unit coalesce onto its fetch.
+	inflight fetchTable
 
 	// Write-back state: dirty units awaiting the epoch flush.
 	dirty      map[cache.Key]int64 // key → bytes pending
 	flushTimer bool
 
-	// pr is the engine's flight recorder, cached at construction.
+	// pr is the engine's flight recorder, cached by Reset.
 	pr *probe.Probe
 	// flt is the engine's fault injector, cached like the probe; nil-safe.
 	flt *fault.Injector
@@ -131,6 +133,8 @@ type Node struct {
 	okCb sim.ArgHandler
 	// flushFn is the write-back epoch timer's handler, bound once.
 	flushFn sim.Handler
+	// awakeFn is diskAwake, bound once for the PA-LRU cache.
+	awakeFn func(cache.Key) bool
 
 	// Pools recycling the request path's state: member-disk batches, unit
 	// fetches and stalled requests (see batch, unitFetch and stalled).
@@ -143,45 +147,104 @@ type Node struct {
 
 // New builds an I/O node with freshly spun-up member disks.
 func New(eng *sim.Engine, id int, cfg Config) (*Node, error) {
-	if err := cfg.Validate(); err != nil {
+	n := &Node{
+		eng:       eng,
+		lastUnit:  make(map[int]int64),
+		lastDelta: make(map[int]int64),
+		dirty:     make(map[cache.Key]int64),
+	}
+	n.okCb = n.onOK
+	n.flushFn = n.onFlushTimer
+	n.awakeFn = n.diskAwake
+	n.batches = pool.New(n.newBatch)
+	n.fetches = pool.New(n.newFetch)
+	n.stalls = pool.New(n.newStalled)
+	if err := n.Reset(id, cfg); err != nil {
 		return nil, err
+	}
+	return n, nil
+}
+
+// Reset returns n, in place, to the state New leaves it in: node id with
+// config cfg, its member disks spun up and idle, an empty storage cache
+// and zero counters. Disks, cache slab, maps and request pools are
+// reused: members are added or dropped to match cfg.Members, and the
+// cache is rebuilt only when cfg switches between LRU and PA-LRU. It
+// re-reads the engine's probe and fault injector. Call it only once every
+// request the node accepted has completed (Live is zero); Reset panics on
+// a request still in flight.
+func (n *Node) Reset(id int, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.WriteBack && cfg.FlushEpoch == 0 {
 		cfg.FlushEpoch = 10 * sim.Second
 	}
-	n := &Node{
-		ID:        id,
-		eng:       eng,
-		cfg:       cfg,
-		lastUnit:  make(map[int]int64),
-		lastDelta: make(map[int]int64),
-		inflight:  make(map[cache.Key]*unitFetch),
-		dirty:     make(map[cache.Key]int64),
-		pr:        eng.Probe(),
-		flt:       eng.Faults(),
-	}
-	n.okCb = n.onOK
-	n.flushFn = n.onFlushTimer
-	n.batches = pool.New(n.newBatch)
-	n.fetches = pool.New(n.newFetch)
-	n.stalls = pool.New(n.newStalled)
+	n.batches.Reset()
+	n.fetches.Reset()
+	n.stalls.Reset()
 	for i := 0; i < cfg.Members; i++ {
-		d, err := disk.New(eng, id*100+i, cfg.DiskParams)
+		if i < len(n.disks) {
+			if err := n.disks[i].Reset(id*100+i, cfg.DiskParams); err != nil {
+				return err
+			}
+			continue
+		}
+		d, err := disk.New(n.eng, id*100+i, cfg.DiskParams)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		n.disks = append(n.disks, d)
 	}
-	if cfg.PowerAwareCache {
-		pal, err := cache.NewPALRU(cfg.CacheBytes, n.diskAwake, cfg.CacheLookahead)
-		if err != nil {
-			return nil, err
-		}
-		n.cache = pal
-	} else {
-		n.cache = cache.MustNew(cfg.CacheBytes)
+	clear(n.disks[cfg.Members:])
+	if err := n.resetCache(cfg); err != nil {
+		return err
 	}
-	return n, nil
+	clear(n.lastUnit)
+	clear(n.lastDelta)
+	clear(n.dirty)
+	n.inflight.reset()
+	*n = Node{
+		ID:        id,
+		eng:       n.eng,
+		cfg:       cfg,
+		disks:     n.disks[:cfg.Members],
+		cache:     n.cache,
+		lastUnit:  n.lastUnit,
+		lastDelta: n.lastDelta,
+		inflight:  n.inflight,
+		dirty:     n.dirty,
+		pr:        n.eng.Probe(),
+		flt:       n.eng.Faults(),
+		okCb:      n.okCb,
+		flushFn:   n.flushFn,
+		awakeFn:   n.awakeFn,
+		batches:   n.batches,
+		fetches:   n.fetches,
+		stalls:    n.stalls,
+	}
+	return nil
+}
+
+// resetCache empties the storage cache for cfg, in place unless cfg
+// switches between LRU and PA-LRU.
+func (n *Node) resetCache(cfg Config) (err error) {
+	switch c := n.cache.(type) {
+	case *cache.PALRU:
+		if cfg.PowerAwareCache {
+			return c.Reset(cfg.CacheBytes, n.awakeFn, cfg.CacheLookahead)
+		}
+	case *cache.LRU:
+		if !cfg.PowerAwareCache {
+			return c.Reset(cfg.CacheBytes)
+		}
+	}
+	if cfg.PowerAwareCache {
+		n.cache, err = cache.NewPALRU(cfg.CacheBytes, n.awakeFn, cfg.CacheLookahead)
+	} else {
+		n.cache, err = cache.New(cfg.CacheBytes)
+	}
+	return err
 }
 
 // MustNew is New, panicking on error.
@@ -221,6 +284,10 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // CacheStats returns the storage cache's hit/miss/eviction counters.
 func (n *Node) CacheStats() (hits, misses, evictions int64) { return n.cache.Stats() }
+
+// Live reports how many pooled request structs are handed out: zero once
+// every request the node accepted has completed.
+func (n *Node) Live() int { return n.batches.Live() + n.fetches.Live() + n.stalls.Live() }
 
 // EnergyJoules sums member-disk energy up to now.
 func (n *Node) EnergyJoules(now sim.Time) float64 {
@@ -275,7 +342,7 @@ func (n *Node) readNow(file int, unit, offset, length int64, done func(now sim.T
 	}
 	n.stats.CacheMisses++
 	n.pr.Emit(probe.KindCacheMiss, int32(n.ID), int64(n.eng.Now()), unit)
-	if f, ok := n.inflight[key]; ok {
+	if f := n.inflight.get(key); f != nil {
 		// Coalesce with an in-flight fetch of the same unit.
 		f.waiters = append(f.waiters, done)
 		return nil
@@ -391,7 +458,7 @@ func (n *Node) fetchUnit(file int, unit int64, done func(now sim.Time, ok bool))
 	return n.issue(ios, cnt, done)
 }
 
-// unitFetch is one whole-unit read in flight, keyed in inflight: later
+// unitFetch is one whole-unit read in flight, indexed in inflight: later
 // misses on the unit wait on it rather than re-reading, and a prefetch
 // starts it with no waiters. doneFn is bound once, when the pool allocates
 // the fetch, and the waiter slice keeps its capacity across reuse.
@@ -417,9 +484,9 @@ func (n *Node) fetch(file int, unit int64, key cache.Key, waiter func(now sim.Ti
 	if waiter != nil {
 		f.waiters = append(f.waiters, waiter)
 	}
-	n.inflight[key] = f
+	n.inflight.add(f)
 	if err := n.fetchUnit(file, unit, f.doneFn); err != nil {
-		delete(n.inflight, key)
+		n.inflight.remove(key)
 		f.release()
 		return err
 	}
@@ -431,7 +498,7 @@ func (n *Node) fetch(file int, unit int64, key cache.Key, waiter func(now sim.Ti
 // waiters degrade (the middleware re-reads or fails the chunk).
 func (f *unitFetch) done(now sim.Time, ok bool) {
 	n := f.n
-	delete(n.inflight, f.key)
+	n.inflight.remove(f.key)
 	if ok {
 		n.cache.Put(f.key, n.cfg.UnitBytes)
 	} else {
@@ -552,6 +619,7 @@ func (m *member) onDone(now sim.Time, r *disk.Request) {
 		return
 	}
 	done, ok := b.done, b.allOK
+	b.done = nil
 	n.batches.Put(b)
 	if done != nil {
 		done(now, ok)
@@ -634,7 +702,7 @@ func (n *Node) prefetch(file int, unit int64) {
 				if n.cache.Contains(key) {
 					continue
 				}
-				if _, busy := n.inflight[key]; busy {
+				if n.inflight.get(key) != nil {
 					continue
 				}
 				n.stats.PrefetchIssued++

@@ -33,8 +33,8 @@ type Middleware struct {
 	net    *netsim.Network
 	files  map[int]FileInfo
 
-	// flt/pr are the engine's fault injector and flight recorder, cached at
-	// construction; both nil-safe.
+	// flt/pr are the engine's fault injector and flight recorder, cached by
+	// Reset; both nil-safe.
 	flt *fault.Injector
 	pr  *probe.Probe
 
@@ -52,25 +52,46 @@ type Middleware struct {
 // New wires the middleware. The node slice length must equal the layout's
 // NumNodes.
 func New(eng *sim.Engine, layout stripe.Layout, nodes []*ionode.Node, net *netsim.Network) (*Middleware, error) {
-	if err := layout.Validate(); err != nil {
+	m := &Middleware{eng: eng, files: make(map[int]FileInfo)}
+	m.calls = pool.New(m.newCall)
+	m.chunks = pool.New(m.newChunk)
+	if err := m.Reset(layout, nodes, net); err != nil {
 		return nil, err
 	}
-	if len(nodes) != layout.NumNodes {
-		return nil, fmt.Errorf("mpiio: %d nodes for a %d-node layout", len(nodes), layout.NumNodes)
+	return m, nil
+}
+
+// Reset rewires m, in place, as New would: no open files, zero counters,
+// and the engine's probe and fault injector re-read. The request pools
+// are kept; call it only once every call has completed (Live is zero),
+// or Reset panics.
+func (m *Middleware) Reset(layout stripe.Layout, nodes []*ionode.Node, net *netsim.Network) error {
+	if err := layout.Validate(); err != nil {
+		return err
 	}
-	m := &Middleware{
-		eng:    eng,
+	if len(nodes) != layout.NumNodes {
+		return fmt.Errorf("mpiio: %d nodes for a %d-node layout", len(nodes), layout.NumNodes)
+	}
+	m.calls.Reset()
+	m.chunks.Reset()
+	clear(m.files)
+	*m = Middleware{
+		eng:    m.eng,
 		layout: layout,
 		nodes:  nodes,
 		net:    net,
-		files:  make(map[int]FileInfo),
-		flt:    eng.Faults(),
-		pr:     eng.Probe(),
+		files:  m.files,
+		flt:    m.eng.Faults(),
+		pr:     m.eng.Probe(),
+		calls:  m.calls,
+		chunks: m.chunks,
 	}
-	m.calls = pool.New(m.newCall)
-	m.chunks = pool.New(m.newChunk)
-	return m, nil
+	return nil
 }
+
+// Live reports how many pooled call and chunk structs are handed out:
+// zero once every call has completed.
+func (m *Middleware) Live() int { return m.calls.Live() + m.chunks.Live() }
 
 // Open registers a file (MPI_File_open). Re-opening the same id is allowed
 // and idempotent.
@@ -140,7 +161,8 @@ func (m *Middleware) SignatureFor(file int, offset, length int64) stripe.Signatu
 }
 
 // call is one Read or Write in flight: done fires with allOK once the last
-// of its remaining chunks completes, and the call returns to its pool.
+// of its remaining chunks completes, and the call returns to its pool
+// without it, so a released call holds nothing of its caller.
 type call struct {
 	remaining int
 	allOK     bool
@@ -297,6 +319,7 @@ func (ch *chunk) finish(now sim.Time, ok bool) {
 		return
 	}
 	done, allOK := c.done, c.allOK
+	c.done = nil
 	m.calls.Put(c)
 	if done != nil {
 		done(now, allOK)

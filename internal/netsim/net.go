@@ -51,8 +51,8 @@ type Network struct {
 	cfg  Config
 	busy []sim.Time // per-node link free time
 
-	// flt/pr are the engine's fault injector and flight recorder, cached at
-	// construction; both are nil-safe.
+	// flt/pr are the engine's fault injector and flight recorder, cached by
+	// Reset; both are nil-safe.
 	flt *fault.Injector
 	pr  *probe.Probe
 
@@ -64,16 +64,23 @@ type Network struct {
 
 // New builds a network.
 func New(eng *sim.Engine, cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	n := &Network{eng: eng}
+	if err := n.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &Network{
-		eng:  eng,
-		cfg:  cfg,
-		busy: make([]sim.Time, cfg.NumNodes),
-		flt:  eng.Faults(),
-		pr:   eng.Probe(),
-	}, nil
+	return n, nil
+}
+
+// Reset returns n, in place, to the state New leaves it in for cfg: every
+// link free and the counters zero. It re-reads the engine's probe and
+// fault injector.
+func (n *Network) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	busy := append(n.busy[:0], make([]sim.Time, cfg.NumNodes)...)
+	*n = Network{eng: n.eng, cfg: cfg, busy: busy, flt: n.eng.Faults(), pr: n.eng.Probe()}
+	return nil
 }
 
 // MustNew is New, panicking on error.

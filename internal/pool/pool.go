@@ -13,6 +13,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -22,20 +23,54 @@ type Pool[T any] struct {
 	alloc func() *T
 	free  []*T
 	live  int
-	// owned tracks the structs currently handed out; non-nil only for
-	// pools created while a Checker is active.
-	owned map[*T]bool
+	// order lists every struct in the order Reset hands them out again;
+	// nil until a Reset first finds structs, so a pool that is never
+	// reused pays nothing for it.
+	order []*T
+	// owned tracks the structs currently handed out, and checker is the
+	// Checker p registered with; both are non-nil only for pools created
+	// or reset while a Checker is active.
+	owned   map[*T]bool
+	checker *Checker
 }
 
 // New returns an empty pool; alloc builds (and binds the handlers of) a
 // fresh struct whenever the free list is empty.
 func New[T any](alloc func() *T) *Pool[T] {
 	p := &Pool[T]{alloc: alloc}
-	if c := active.Load(); c != nil {
+	p.Reset()
+	return p
+}
+
+// Reset readies p for a new owner, keeping every struct it has
+// allocated. It panics if a struct is still handed out: a pool is reset
+// only once everything that used it has drained. The free list goes back
+// to one fixed order (the order the first Reset that found structs saw
+// them in, then allocation order), so equal runs on a reset pool are
+// handed the same structs in the same order, and slices a struct grew in
+// one run serve the same role in the next. Under an active Checker, p
+// registers with it (once per Checker) and its ownership checking
+// restarts; otherwise checking is off.
+func (p *Pool[T]) Reset() {
+	if p.live != 0 {
+		panic(fmt.Sprintf("pool: reset with %d %T still in flight", p.live, (*T)(nil)))
+	}
+	if p.order == nil && len(p.free) > 0 {
+		p.order = slices.Clone(p.free)
+	}
+	p.free = append(p.free[:0], p.order...)
+	c := active.Load()
+	if c == nil {
+		p.owned, p.checker = nil, nil
+		return
+	}
+	if p.owned == nil {
 		p.owned = make(map[*T]bool)
+	}
+	if p.checker != c {
+		p.checker = c
 		c.add(p)
 	}
-	return p
 }
 
 // Get hands out a recycled struct, or a freshly allocated one while the
@@ -49,6 +84,9 @@ func (p *Pool[T]) Get() *T {
 		p.free = p.free[:n-1]
 	} else {
 		x = p.alloc()
+		if p.order != nil {
+			p.order = append(p.order, x)
+		}
 	}
 	p.live++
 	if p.owned != nil {
@@ -76,18 +114,18 @@ func (p *Pool[T]) Put(x *T) {
 // Live reports how many structs are handed out and not yet released.
 func (p *Pool[T]) Live() int { return p.live }
 
-// active is the Checker pools created right now register with.
+// active is the Checker pools created or reset right now register with.
 var active atomic.Pointer[Checker]
 
-// Checker collects the pools created while it is active.
+// Checker collects the pools created or reset while it is active.
 type Checker struct {
 	mu    sync.Mutex
 	pools []interface{ Live() int }
 }
 
-// Check turns on ownership checking for every pool created until Stop is
-// called. Tests only: it is process-global, so a test using it must not run
-// in parallel with another that builds pools.
+// Check turns on ownership checking for every pool created or reset until
+// Stop is called. Tests only: it is process-global, so a test using it
+// must not run in parallel with another that builds or resets pools.
 func Check() *Checker {
 	c := &Checker{}
 	active.Store(c)
@@ -100,7 +138,7 @@ func (c *Checker) add(p interface{ Live() int }) {
 	c.mu.Unlock()
 }
 
-// Stop ends checking for pools created from now on.
+// Stop ends checking for pools created or reset from now on.
 func (c *Checker) Stop() { active.CompareAndSwap(c, nil) }
 
 // Pools reports how many pools registered with the checker.

@@ -43,3 +43,40 @@ func TestCheckCatchesDoubleRelease(t *testing.T) {
 	unchecked.Put(unchecked.Get())
 	p.Put(x)
 }
+
+// Reset keeps every struct and hands them out again in one fixed order,
+// whatever order they were released in; it registers the pool once with
+// the active checker, and refuses a pool with a struct still in flight.
+func TestResetFixesHandOutOrder(t *testing.T) {
+	allocs := 0
+	p := New(func() *item { allocs++; return &item{n: allocs} })
+	a, b := p.Get(), p.Get()
+	p.Put(b)
+	p.Put(a)
+	p.Reset() // fixes the order: b, then a, then structs allocated later
+	a, b, c := p.Get(), p.Get(), p.Get()
+	p.Put(a)
+	p.Put(c)
+	p.Put(b)
+	checker := Check()
+	defer checker.Stop()
+	p.Reset()
+	p.Reset()
+	if checker.Pools() != 1 {
+		t.Fatalf("checker registered the reset pool %d times, want once", checker.Pools())
+	}
+	for _, want := range []int{3, 1, 2} {
+		if x := p.Get(); x.n != want {
+			t.Fatalf("after Reset, Get returned struct %d, want %d", x.n, want)
+		}
+	}
+	if allocs != 3 || checker.Live() != 3 {
+		t.Fatalf("allocs %d, checked live %d after three Gets", allocs, checker.Live())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset with structs in flight did not panic")
+		}
+	}()
+	p.Reset()
+}

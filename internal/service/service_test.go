@@ -140,6 +140,7 @@ func TestServiceRunValidation(t *testing.T) {
 		`{"app":"sar","variant":"thetaa=8"}`, // variant typo
 		`{"app":"sar","variant":"nodes=0"}`,  // no I/O nodes
 		`{"app":"sar","variant":"procs=0"}`,  // no client nodes
+		`{"app":"sar","faults":"stall=0.5,stall-lat=9223372036854775807"}`, // wraps the clock
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))

@@ -148,7 +148,29 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and the given RNG seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{}
+	e.Reset(seed)
+	return e
+}
+
+// Reset returns the engine to the state NewEngine(seed) leaves it in, in
+// place: the RNG re-seeded, anything still queued recycled unfired, the
+// clock and counters at zero, and no probe or fault injector attached. The
+// free list and the queue's capacity are kept, so a recycled engine
+// schedules without allocating. Sequence numbers keep counting, so a
+// Handle from before the reset stays stale once its event is reissued.
+func (e *Engine) Reset(seed int64) {
+	for i, ent := range e.queue {
+		ent.ev.queued = false
+		e.recycle(ent.ev)
+		e.queue[i] = heapEntry{}
+	}
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(seed))
+	} else {
+		e.rng.Seed(seed)
+	}
+	*e = Engine{queue: e.queue[:0], free: e.free, seq: e.seq, rng: e.rng}
 }
 
 // Now returns the current virtual time.

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"sdds/internal/fault"
+	"sdds/internal/probe"
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
@@ -480,12 +483,18 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 func TestRunContextCancellation(t *testing.T) {
 	// A self-perpetuating event chain never drains the queue; only the
 	// context check can stop it.
+	// The cancelling goroutine starts from the first event, so the run is
+	// under way before cancellation can land.
 	e := NewEngine(1)
-	var reschedule Handler
-	reschedule = func(now Time) { e.Schedule(1, "tick", reschedule) }
-	e.Schedule(0, "tick", reschedule)
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	var reschedule Handler
+	reschedule = func(now Time) {
+		if now == 0 {
+			go cancel()
+		}
+		e.Schedule(1, "tick", reschedule)
+	}
+	e.Schedule(0, "tick", reschedule)
 	if _, err := e.RunContext(ctx); err == nil {
 		t.Fatal("RunContext returned nil error under cancellation")
 	}
@@ -515,5 +524,46 @@ func TestRunContextDrainsWithBackground(t *testing.T) {
 	end, err := e.RunContext(context.Background())
 	if err != nil || n != 1 || end != 5 {
 		t.Fatalf("RunContext = %v, %v (n=%d)", end, err, n)
+	}
+}
+
+// Reset returns an engine to what NewEngine builds, in place: the RNG
+// replays the seed's sequence, the clock and counters restart at zero,
+// the probe and injector are dropped, and events still queued are
+// recycled unfired. Handles from before the reset stay stale once their
+// events are reissued.
+func TestResetMatchesNewEngine(t *testing.T) {
+	e := NewEngine(1)
+	e.SetProbe(probe.NewProbe(16))
+	e.SetFaults(fault.NewInjector(&fault.Config{MaxRetries: 1}, 1))
+	e.Rand().Int63()
+	e.ScheduleFunc(5, "fired", func(Time) {})
+	stale := e.Schedule(50, "queued", func(Time) { t.Fatal("an event queued before Reset fired") })
+	e.RunUntil(10)
+
+	e.Reset(7)
+	fresh := NewEngine(7)
+	if e.Now() != 0 || e.EventsFired() != 0 || e.EventsScheduled() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Reset: now %v, fired %d, scheduled %d, pending %d", e.Now(), e.EventsFired(), e.EventsScheduled(), e.Pending())
+	}
+	if e.Probe() != nil || e.Faults() != nil {
+		t.Fatal("Reset kept the probe or the injector")
+	}
+	for i := 0; i < 8; i++ {
+		if a, b := e.Rand().Int63(), fresh.Rand().Int63(); a != b {
+			t.Fatalf("draw %d after Reset(7) = %d, NewEngine(7) = %d", i, a, b)
+		}
+	}
+	if e.FreeListLen() != 2 {
+		t.Fatalf("free list holds %d events, want both from before the reset", e.FreeListLen())
+	}
+	e.ScheduleFunc(1, "a", func(Time) {})
+	e.ScheduleFunc(1, "b", func(Time) {})
+	stale.Cancel()
+	if stale.At() != 0 || e.Pending() != 2 {
+		t.Fatalf("stale handle reads At %v and cancelled a reissued event (pending %d)", stale.At(), e.Pending())
+	}
+	if end := e.Run(); end != 1 || e.EventsFired() != 2 {
+		t.Fatalf("run after Reset ended at %v with %d events fired", end, e.EventsFired())
 	}
 }

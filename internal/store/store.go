@@ -98,7 +98,9 @@ func OpenWith(path string, truncate bool, log *slog.Logger) (*Store, error) {
 }
 
 // loadLines parses the intact prefix of a store file: every complete,
-// well-formed line. It returns the records and the byte length of the
+// well-formed line. A final line without its newline is torn even when it
+// parses: its Put never returned, and the bytes an append wrote after it
+// would merge into it. It returns the records and the byte length of the
 // valid prefix. A missing file is an empty store.
 func loadLines(path string) ([]line, int64, error) {
 	f, err := os.Open(path)
@@ -115,6 +117,7 @@ func loadLines(path string) ([]line, int64, error) {
 	)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	sc.Split(scanTerminated)
 	for sc.Scan() {
 		raw := sc.Bytes()
 		var l line
@@ -128,6 +131,16 @@ func loadLines(path string) ([]line, int64, error) {
 		return nil, 0, fmt.Errorf("store: %w", err)
 	}
 	return lines, valid, nil
+}
+
+// scanTerminated splits at newlines, yielding only lines whose newline is
+// present; unlike bufio.ScanLines it never yields an unterminated final
+// line, and it keeps a carriage return, so every line counts len+1 bytes.
+func scanTerminated(data []byte, _ bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
 }
 
 // Put stores value under key, fsyncing before it returns. Re-putting a

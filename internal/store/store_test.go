@@ -166,6 +166,55 @@ func TestStoreTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// A tear just before the last newline leaves a line that parses but was
+// never acknowledged. Open must drop it like any torn line: if it kept the
+// line, it would count a newline that is not on disk, and the next append
+// would merge into it and take every later record with it.
+func TestStoreDropsUnterminatedTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.jsonl")
+	s, err := Open(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := s.Put(k, payload{S: k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(buf) - 1 - strings.LastIndexByte(string(buf[:len(buf)-1]), '\n')
+	if err := os.WriteFile(path, buf[:len(buf)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Entries != 2 || rep.TornBytes != int64(last-1) {
+		t.Fatalf("Verify = %+v, want 2 entries and the %d-byte unterminated line torn", rep, last-1)
+	}
+	s2, err := Open(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Put("d", payload{S: "d"}); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3, err := Open(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := strings.Join(s3.Keys(), " "); got != "a b d" {
+		t.Fatalf("keys after the repair and one Put = %q, want \"a b d\"", got)
+	}
+}
+
 // TestStoreRejectsDirectory pins the clear error for a directory path.
 func TestStoreRejectsDirectory(t *testing.T) {
 	dir := t.TempDir()
